@@ -261,7 +261,25 @@ func BenchmarkLowerBoundConstructions(b *testing.B) {
 
 // ---- LP solver micro-benchmarks ----
 
+// BenchmarkSimplex solves synthetic LPs of growing size and, in
+// "lpip-skewed-S2000", a real LPIP forced-sale LP: the largest prefix (every
+// edge forced) of the world-skewed workload at |S| = 2000 under Uniform[1,100]
+// valuations, the LP that dominates a broker's calibration.
 func BenchmarkSimplex(b *testing.B) {
+	b.Run("lpip-skewed-S2000", func(b *testing.B) {
+		p := forcedSaleBenchLP(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sol, err := p.Solve()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if sol.Status != lp.Optimal {
+				b.Fatalf("status %v", sol.Status)
+			}
+		}
+	})
 	for _, size := range []struct{ n, m int }{{50, 20}, {200, 80}, {500, 150}} {
 		b.Run(fmt.Sprintf("n%d_m%d", size.n, size.m), func(b *testing.B) {
 			b.ReportAllocs()
@@ -289,6 +307,25 @@ func BenchmarkSimplex(b *testing.B) {
 			}
 		})
 	}
+}
+
+// forcedSaleBenchLP builds LPIP's LP for its largest threshold on the
+// world-skewed workload at |S| = 2000, with the edges in LPIP's
+// descending-valuation order.
+func forcedSaleBenchLP(b *testing.B) *lp.Problem {
+	b.Helper()
+	sc, err := experiments.Build(experiments.Config{Workload: experiments.Skewed, SupportSize: 2000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := sc.H
+	valuation.Apply(h, valuation.Uniform{K: 100}, 2)
+	order, _ := pricing.LPItemThresholds(h, 1)
+	p, _, err := pricing.ForcedSaleLP(h, order)
+	if err != nil || p == nil {
+		b.Fatalf("forced-sale LP: %v", err)
+	}
+	return p
 }
 
 // ---- Conflict-set single-query path (broker quote latency) ----

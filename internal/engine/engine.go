@@ -22,7 +22,8 @@ import (
 // value can drive a whole roster sweep.
 type Options struct {
 	// LPIPMaxCandidates caps how many valuation thresholds LPIP tries
-	// (0 = all distinct valuations).
+	// (0 = all distinct valuations; 1 = only the lowest, which forces
+	// every edge).
 	LPIPMaxCandidates int
 	// CIPEpsilon is the (1+eps) geometric step of CIP's capacity grid
 	// (0 = the pricing package default of 0.5).

@@ -4,11 +4,26 @@
 // LP (and its duals) of the CIP algorithm, the subadditive upper-bound LP,
 // and the uniform-bundle-price refinement LP.
 //
-// The solver is a bounded-variable revised simplex with a dense basis
-// inverse, two phases (artificial variables), Dantzig pricing with a Bland
-// anti-cycling fallback, and periodic refactorization. It is designed for
-// the moderate sizes that arise in query pricing (hundreds to a few
-// thousand rows), not for industrial-scale LPs.
+// The solver is a bounded-variable revised simplex with two phases
+// (artificial variables), Dantzig pricing with a Bland anti-cycling
+// fallback, and Gauss-Jordan refactorization every 256 pivots. Its kernel
+// is sparse-aware. The basis inverse is one dense array, but a pivot
+// touches only the nonzero columns of the pivot row, and in them only the
+// rows where the entering column is nonzero. The multipliers are
+// recomputed only at those columns. Reduced costs are cached and
+// recomputed only for columns with a nonzero in a row whose multiplier
+// changed. Refactorization eliminates over nonzeros only.
+//
+// The contract: the kernel skips exact zeros and nothing else. Every
+// operation on a nonzero value is the one the dense method performs, in
+// the same order, so while the arithmetic stays finite the kernel takes
+// the dense method's pivots and returns the same status, objective,
+// iteration count, primal values and duals (equal under ==). The
+// package's tests hold a dense reference implementation and check this on
+// random, fuzzed and pricing LPs.
+//
+// It is designed for the moderate sizes that arise in query pricing
+// (hundreds to a few thousand rows), not for industrial-scale LPs.
 package lp
 
 import (
@@ -191,28 +206,40 @@ var ErrBadProblem = errors.New("lp: invalid problem")
 // negated maximization, then negated back, so complementary slackness holds
 // in the problem's own sense.
 func (p *Problem) Solve() (*Solution, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
+	return p.finish(newSimplex(p).solve()), nil
+}
+
+// validate rejects NaN data and infinite constraint coefficients.
+func (p *Problem) validate() error {
 	for j := range p.obj {
 		if math.IsNaN(p.obj[j]) || math.IsNaN(p.lo[j]) || math.IsNaN(p.hi[j]) {
-			return nil, fmt.Errorf("%w: NaN in variable %d", ErrBadProblem, j)
+			return fmt.Errorf("%w: NaN in variable %d", ErrBadProblem, j)
 		}
 	}
 	for i := range p.rows {
 		if math.IsNaN(p.rows[i].rhs) {
-			return nil, fmt.Errorf("%w: NaN rhs in row %d", ErrBadProblem, i)
+			return fmt.Errorf("%w: NaN rhs in row %d", ErrBadProblem, i)
 		}
 		for _, c := range p.rows[i].coef {
 			if math.IsNaN(c) || math.IsInf(c, 0) {
-				return nil, fmt.Errorf("%w: bad coefficient in row %d", ErrBadProblem, i)
+				return fmt.Errorf("%w: bad coefficient in row %d", ErrBadProblem, i)
 			}
 		}
 	}
-	s := newSimplex(p)
-	sol := s.solve()
+	return nil
+}
+
+// finish converts a solution of the internal maximization back to the
+// problem's own sense.
+func (p *Problem) finish(sol *Solution) *Solution {
 	if p.sense == Minimize {
 		sol.Objective = -sol.Objective
 		for i := range sol.Dual {
 			sol.Dual[i] = -sol.Dual[i]
 		}
 	}
-	return sol, nil
+	return sol
 }

@@ -8,10 +8,7 @@ import (
 
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	sol, err := p.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	sol := solveBoth(t, p)
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v, want optimal", sol.Status)
 	}
@@ -80,10 +77,7 @@ func TestInfeasible(t *testing.T) {
 	x := p.AddVariable(1, 0, Inf)
 	p.MustAddConstraint([]int{x}, []float64{1}, LE, 1)
 	p.MustAddConstraint([]int{x}, []float64{1}, GE, 2)
-	sol, err := p.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := solveBoth(t, p)
 	if sol.Status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", sol.Status)
 	}
@@ -94,10 +88,7 @@ func TestUnbounded(t *testing.T) {
 	x := p.AddVariable(1, 0, Inf)
 	y := p.AddVariable(0, 0, Inf)
 	p.MustAddConstraint([]int{x, y}, []float64{1, -1}, LE, 1)
-	sol, err := p.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := solveBoth(t, p)
 	if sol.Status != Unbounded {
 		t.Fatalf("status = %v, want unbounded", sol.Status)
 	}

@@ -83,10 +83,7 @@ func TestIterationLimitReported(t *testing.T) {
 		p.MustAddConstraint(idx, coef, LE, float64(5+r))
 	}
 	p.MaxIters = 3 // absurdly small budget
-	sol, err := p.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := solveBoth(t, p)
 	if sol.Status != IterationLimit {
 		t.Fatalf("status = %v, want iteration-limit", sol.Status)
 	}

@@ -204,7 +204,8 @@ type LPItemOptions struct {
 	// MaxCandidates caps how many valuation thresholds are tried (the paper
 	// tries all m; 0 means all distinct valuations). When capped, the
 	// thresholds are spread evenly over the sorted distinct valuations,
-	// always including the largest and smallest.
+	// always including the largest and smallest; a cap of 1 keeps only the
+	// smallest, the threshold that forces every edge.
 	MaxCandidates int
 }
 
@@ -215,32 +216,7 @@ type LPItemOptions struct {
 // whole instance and returns the best.
 func LPItem(h *hypergraph.Hypergraph, opts LPItemOptions) (Result, error) {
 	start := time.Now()
-	m := h.NumEdges()
-	order := make([]int, m)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return h.Edge(order[a]).Valuation > h.Edge(order[b]).Valuation
-	})
-
-	// Candidate thresholds are prefix lengths ending at distinct valuations.
-	var prefixes []int
-	for i := 0; i < m; i++ {
-		if i+1 < m && h.Edge(order[i+1]).Valuation == h.Edge(order[i]).Valuation {
-			continue
-		}
-		prefixes = append(prefixes, i+1)
-	}
-	if opts.MaxCandidates > 0 && len(prefixes) > opts.MaxCandidates {
-		sampled := make([]int, 0, opts.MaxCandidates)
-		for t := 0; t < opts.MaxCandidates; t++ {
-			idx := t * (len(prefixes) - 1) / (opts.MaxCandidates - 1)
-			sampled = append(sampled, prefixes[idx])
-		}
-		prefixes = dedupeInts(sampled)
-	}
-
+	order, prefixes := LPItemThresholds(h, opts.MaxCandidates)
 	best := Result{Algorithm: "LPIP"}
 	lpSolves := 0
 	for _, plen := range prefixes {
@@ -266,6 +242,42 @@ func LPItem(h *hypergraph.Hypergraph, opts LPItemOptions) (Result, error) {
 	return best, nil
 }
 
+// LPItemThresholds returns LPIP's candidate forced sets: the edges in
+// descending valuation order and the prefix lengths of that order that
+// LPItem tries, ascending (prefixes end at distinct valuations, sampled
+// down to maxCandidates as LPItemOptions.MaxCandidates describes).
+func LPItemThresholds(h *hypergraph.Hypergraph, maxCandidates int) (order, prefixes []int) {
+	m := h.NumEdges()
+	order = make([]int, m)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		return h.Edge(order[a]).Valuation > h.Edge(order[b]).Valuation
+	})
+
+	// Candidate thresholds are prefix lengths ending at distinct valuations.
+	for i := 0; i < m; i++ {
+		if i+1 < m && h.Edge(order[i+1]).Valuation == h.Edge(order[i]).Valuation {
+			continue
+		}
+		prefixes = append(prefixes, i+1)
+	}
+	switch {
+	case maxCandidates <= 0 || len(prefixes) <= maxCandidates:
+	case maxCandidates == 1:
+		prefixes = prefixes[len(prefixes)-1:]
+	default:
+		sampled := make([]int, 0, maxCandidates)
+		for t := 0; t < maxCandidates; t++ {
+			idx := t * (len(prefixes) - 1) / (maxCandidates - 1)
+			sampled = append(sampled, prefixes[idx])
+		}
+		prefixes = dedupeInts(sampled)
+	}
+	return order, prefixes
+}
+
 func dedupeInts(in []int) []int {
 	sort.Ints(in)
 	out := in[:0]
@@ -283,6 +295,36 @@ func dedupeInts(in []int) []int {
 // It returns a full-length weight vector, or nil if the LP did not reach
 // optimality (numerically degenerate candidate).
 func solveForcedSaleLP(h *hypergraph.Hypergraph, edgeIdx []int) ([]float64, error) {
+	p, items, err := ForcedSaleLP(h, edgeIdx)
+	if err != nil {
+		return nil, err
+	}
+	if p == nil {
+		return make([]float64, h.NumItems()), nil // only empty bundles forced
+	}
+	sol, err := p.Solve()
+	if err != nil {
+		return nil, err
+	}
+	if sol.Status != lp.Optimal {
+		return nil, nil
+	}
+	w := make([]float64, h.NumItems())
+	for v, j := range items {
+		if x := sol.X[v]; x > 0 {
+			w[j] = x
+		}
+	}
+	return w, nil
+}
+
+// ForcedSaleLP builds LPIP's LP(e) for the forced edges edgeIdx: one
+// variable per item of a forced edge (ascending item order, weight >= 0,
+// objective = the number of forced edges containing the item) and one
+// sold-at-valuation row per nonempty forced edge. It returns the problem
+// and the item of each variable, or a nil problem when no forced edge has
+// an item.
+func ForcedSaleLP(h *hypergraph.Hypergraph, edgeIdx []int) (*lp.Problem, []int, error) {
 	// Objective coefficient of item j = number of forced edges containing j.
 	coefOf := make(map[int]float64)
 	for _, ei := range edgeIdx {
@@ -291,7 +333,7 @@ func solveForcedSaleLP(h *hypergraph.Hypergraph, edgeIdx []int) ([]float64, erro
 		}
 	}
 	if len(coefOf) == 0 {
-		return make([]float64, h.NumItems()), nil // only empty bundles forced
+		return nil, nil, nil
 	}
 	items := make([]int, 0, len(coefOf))
 	for j := range coefOf {
@@ -315,23 +357,10 @@ func solveForcedSaleLP(h *hypergraph.Hypergraph, edgeIdx []int) ([]float64, erro
 			coef[k] = 1
 		}
 		if _, err := p.AddConstraint(idx, coef, lp.LE, e.Valuation); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	sol, err := p.Solve()
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.Optimal {
-		return nil, nil
-	}
-	w := make([]float64, h.NumItems())
-	for _, j := range items {
-		if x := sol.X[varOf[j]]; x > 0 {
-			w[j] = x
-		}
-	}
-	return w, nil
+	return p, items, nil
 }
 
 // CapacityOptions tunes the CIP algorithm.
@@ -389,30 +418,13 @@ func Capacity(h *hypergraph.Hypergraph, opts CapacityOptions) (Result, error) {
 	return best, nil
 }
 
-// welfareDualPrices solves max sum_e v_e x_e subject to x_e in [0,1] and,
-// for every item j with degree > k, sum_{e contains j} x_e <= k, returning
-// the duals of the item constraints as an item price vector (items without
-// a constraint price at 0). Returns nil if the LP did not reach optimality.
+// welfareDualPrices solves the welfare LP at capacity k and returns the
+// duals of its item constraints as an item price vector (items without a
+// constraint price at 0). Returns nil if the LP did not reach optimality.
 func welfareDualPrices(h *hypergraph.Hypergraph, k float64) ([]float64, error) {
-	p := lp.NewProblem(lp.Maximize)
-	m := h.NumEdges()
-	for i := 0; i < m; i++ {
-		p.AddVariable(h.Edge(i).Valuation, 0, 1)
-	}
-	inc := h.Incidence()
-	rowItem := make([]int, 0)
-	for j, edges := range inc {
-		if float64(len(edges)) <= k {
-			continue // supply constraint can never bind; dual price 0
-		}
-		coef := make([]float64, len(edges))
-		for t := range coef {
-			coef[t] = 1
-		}
-		if _, err := p.AddConstraint(edges, coef, lp.LE, k); err != nil {
-			return nil, err
-		}
-		rowItem = append(rowItem, j)
+	p, rowItem, err := WelfareLP(h, k)
+	if err != nil {
+		return nil, err
 	}
 	w := make([]float64, h.NumItems())
 	if len(rowItem) == 0 {
@@ -431,6 +443,34 @@ func welfareDualPrices(h *hypergraph.Hypergraph, k float64) ([]float64, error) {
 		}
 	}
 	return w, nil
+}
+
+// WelfareLP builds CIP's welfare LP at capacity k: max sum_e v_e x_e
+// subject to x_e in [0,1] and, for every item j with degree > k,
+// sum_{e contains j} x_e <= k. It returns the problem and the item of each
+// row.
+func WelfareLP(h *hypergraph.Hypergraph, k float64) (*lp.Problem, []int, error) {
+	p := lp.NewProblem(lp.Maximize)
+	m := h.NumEdges()
+	for i := 0; i < m; i++ {
+		p.AddVariable(h.Edge(i).Valuation, 0, 1)
+	}
+	inc := h.Incidence()
+	rowItem := make([]int, 0)
+	for j, edges := range inc {
+		if float64(len(edges)) <= k {
+			continue // supply constraint can never bind; dual price 0
+		}
+		coef := make([]float64, len(edges))
+		for t := range coef {
+			coef[t] = 1
+		}
+		if _, err := p.AddConstraint(edges, coef, lp.LE, k); err != nil {
+			return nil, nil, err
+		}
+		rowItem = append(rowItem, j)
+	}
+	return p, rowItem, nil
 }
 
 // Layering is Algorithm 1 of the paper: repeatedly peel a minimal set cover

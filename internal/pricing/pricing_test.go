@@ -506,6 +506,32 @@ func TestLPItemMaxCandidates(t *testing.T) {
 	}
 }
 
+// TestLPItemSingleCandidate pins a cap of one threshold, which used to
+// divide by zero when more than one distinct valuation exists: LPIP then
+// solves exactly the LP that forces every edge.
+func TestLPItemSingleCandidate(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	h := randInstance(rng, 10, 30, 10)
+	order, prefixes := LPItemThresholds(h, 1)
+	if len(prefixes) != 1 || prefixes[0] != h.NumEdges() {
+		t.Fatalf("cap 1 kept prefixes %v, want [%d]", prefixes, h.NumEdges())
+	}
+	res, err := LPItem(h, LPItemOptions{MaxCandidates: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LPSolves != 1 {
+		t.Fatalf("cap 1 solved %d LPs, want 1", res.LPSolves)
+	}
+	w, err := solveForcedSaleLP(h, order)
+	if err != nil || w == nil {
+		t.Fatalf("all-forced LP: w=%v err=%v", w, err)
+	}
+	if want := RevenueAdditive(h, w); res.Revenue != want {
+		t.Fatalf("cap 1 revenue %g, want the all-forced LP's %g", res.Revenue, want)
+	}
+}
+
 func TestResultPrice(t *testing.T) {
 	e := hypergraph.Edge{Items: []int{0, 2}}
 	r := Result{BundlePrice: 7}
