@@ -400,8 +400,7 @@ func BenchmarkConflictSet(b *testing.B) {
 // — for 1- and 16-cell batches. "requote" measures a warm single-query
 // quote against a broker that just absorbed an update: delta-maintained
 // plans must keep the warm path warm, so this should track the plain warm
-// ConflictSet numbers. The conflict cache is disabled throughout so every
-// quote pays real conflict-set computation.
+// ConflictSet numbers. Every quote pays real conflict-set computation.
 func BenchmarkUpdateRequote(b *testing.B) {
 	sc := benchScenario(b, experiments.Skewed)
 	newBroker := func() *Broker {
@@ -409,11 +408,7 @@ func BenchmarkUpdateRequote(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		broker, err := NewBrokerWithSupport(sc.DB, set, BrokerConfig{
-			Seed:              2,
-			LPIPCandidates:    6,
-			ConflictCacheSize: -1,
-		})
+		broker, err := NewBrokerWithSupport(sc.DB, set, BrokerConfig{Seed: 2, LPIPCandidates: 6})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -489,12 +484,7 @@ func BenchmarkUpdateRequote(b *testing.B) {
 // meant to parallelize.
 func BenchmarkQuoteBatch(b *testing.B) {
 	sc := benchScenario(b, experiments.Skewed)
-	broker, err := NewBroker(sc.DB, BrokerConfig{
-		SupportSize:       100,
-		Seed:              2,
-		LPIPCandidates:    6,
-		ConflictCacheSize: -1, // measure computation, not cache hits
-	})
+	broker, err := NewBroker(sc.DB, BrokerConfig{SupportSize: 100, Seed: 2, LPIPCandidates: 6})
 	if err != nil {
 		b.Fatal(err)
 	}

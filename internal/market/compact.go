@@ -6,7 +6,7 @@ package market
 // without bound. Compact reclaims the tombstones behind exactly the
 // atomic-snapshot-swap discipline Update uses: the rewrite happens off
 // to the side (dense database via relational.Database.Compact, support
-// set re-homed via support.Set.Compact, fresh conflict cache) and is
+// set re-homed via support.Set.Compact) and is
 // published with one atomic state swap. Quotes never block; in-flight
 // quotes that loaded the previous state finish against it and carry its
 // version. Compactions serialize with updates and calibrations on
@@ -57,10 +57,9 @@ func (b *Broker) Compactions() uint64 { return b.compactions.Load() }
 // Compact applies a planned compaction (relational.PlanCompaction) and
 // publishes the compacted snapshot with one atomic swap: the database
 // rewritten densely, the support set's neighbors, shard partition,
-// footprint indexes and cached plans re-homed, and a fresh conflict
-// cache (entries are version-pinned, none may survive the bump). The
-// calibrated pricing is retained — its item weights attach to support
-// neighbors, whose identities a compaction never changes.
+// footprint indexes and cached plans re-homed. The calibrated pricing
+// is retained — its item weights attach to support neighbors, whose
+// identities a compaction never changes.
 //
 // The specs are validated strictly against the current snapshot
 // (relational.Database.Compact): a spec planned against a state that has
@@ -110,12 +109,7 @@ func (b *Broker) compactLocked(specs []relational.CompactSpec) (CompactStats, er
 		out.SlotsReclaimed += len(spec.Dead)
 		out.RowsRewritten += spec.Slots - len(spec.Dead)
 	}
-	b.state.Store(&marketState{
-		version: newDB.Version(),
-		db:      newDB,
-		set:     newSet,
-		cache:   b.newCache(),
-	})
+	b.state.Store(&marketState{version: newDB.Version(), db: newDB, set: newSet})
 	b.compactions.Add(1)
 	return out, nil
 }

@@ -94,7 +94,7 @@ func TestPostUpdateRequoteAllocCeiling(t *testing.T) {
 		t.Skip("allocation ceilings are calibrated without -race instrumentation")
 	}
 	db, qs := updateScenario(t, "skewed")
-	b, err := NewBroker(db, Config{SupportSize: 400, Seed: 7, ConflictCacheSize: -1, Shards: -1})
+	b, err := NewBroker(db, Config{SupportSize: 400, Seed: 7, Shards: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

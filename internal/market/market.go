@@ -15,23 +15,20 @@
 // per-shard plan caches). The support set is sharded (Config.Shards):
 // calibration schedules shard × query tiles over the worker pool and each
 // quote fans its conflict-set computation out across shards. QuoteBatch
-// fans a query batch across a bounded worker pool, and conflict sets are
-// memoized in a bounded LRU cache keyed by the query's canonical SQL
-// rendering, so repeated quotes for structurally identical queries skip
-// conflict-set computation entirely.
+// fans a query batch across a bounded worker pool. Every quote computes
+// its conflict set afresh; what makes that cheap — the compiled query
+// plan — is cached by the support set and carried across versions.
 //
 // The seller's data is versioned and may evolve while the market serves:
 // Broker.Update applies a batch of cell changes and atomically publishes a
 // successor data snapshot (new database version, support set advanced
 // lazily — cached plans fold the deferred change batches into one
 // coalesced rebase on their first post-update use, or when the optional
-// background drainer reaches them — and a fresh conflict cache). Quotes
-// and receipts carry the version they were priced at; see docs/UPDATES.md
-// for the full life of an update.
+// background drainer reaches them). Quotes and receipts carry the version
+// they were priced at; see docs/UPDATES.md for the full life of an update.
 package market
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"runtime"
@@ -82,9 +79,6 @@ type Config struct {
 	// across shards concurrently. 0 picks GOMAXPROCS, negative forces a
 	// single shard. Results are byte-identical at every shard count.
 	Shards int
-	// ConflictCacheSize bounds the conflict-set LRU cache: 0 picks the
-	// default of 1024 entries, negative disables caching.
-	ConflictCacheSize int
 	// BackgroundDrain, when set, spawns a background goroutine after each
 	// Update that eagerly folds the deferred plan rebases into the new
 	// snapshot (support.Set.Drain), so an idle broker converges instead of
@@ -129,15 +123,13 @@ type pricingSnapshot struct {
 }
 
 // marketState is the broker's immutable data snapshot: the versioned base
-// database, the support set interpreted against it, and the conflict-set
-// cache whose entries are valid exactly for that version. Update publishes
-// a successor state with one atomic swap; in-flight quotes that loaded the
+// database and the support set interpreted against it. Update publishes a
+// successor state with one atomic swap; in-flight quotes that loaded the
 // previous state finish consistently against it.
 type marketState struct {
 	version uint64
 	db      *relational.Database
 	set     *support.Set
-	cache   *conflictCache // nil when caching is disabled
 }
 
 // Broker sells query answers over a dataset at arbitrage-free prices.
@@ -146,8 +138,8 @@ type marketState struct {
 type Broker struct {
 	cfg Config
 
-	// state holds the current data snapshot (database, support set,
-	// conflict cache); Update swaps in a successor atomically.
+	// state holds the current data snapshot (database and support set);
+	// Update swaps in a successor atomically.
 	state atomic.Pointer[marketState]
 
 	// snap holds the current calibrated pricing; nil until Calibrate
@@ -171,14 +163,9 @@ type Broker struct {
 	// to first use instead of paying at update time (see PlanStats).
 	plansDeferred atomic.Int64
 
-	// cacheHits/cacheMisses count conflict-cache outcomes cumulatively
-	// over the broker's lifetime. They live here rather than on the cache
-	// because each cache is retired wholesale with its marketState on
-	// Update — per-state counters would reset on every version bump.
-	// Joining an in-flight computation counts as a hit (the caller did
-	// not pay for the computation).
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
+	// conflictSets counts conflict-set computations over the broker's
+	// lifetime (see CacheStats).
+	conflictSets atomic.Uint64
 
 	salesMu sync.Mutex
 	sales   []Receipt
@@ -223,22 +210,8 @@ func NewBrokerWithSupport(db *relational.Database, set *support.Set, cfg Config)
 
 func newBroker(db *relational.Database, set *support.Set, cfg Config) *Broker {
 	b := &Broker{cfg: cfg}
-	st := &marketState{version: db.Version(), db: db, set: set, cache: b.newCache()}
-	b.state.Store(st)
+	b.state.Store(&marketState{version: db.Version(), db: db, set: set})
 	return b
-}
-
-// newCache builds a conflict cache per the broker's config (nil when
-// disabled).
-func (b *Broker) newCache() *conflictCache {
-	if b.cfg.ConflictCacheSize < 0 {
-		return nil
-	}
-	size := b.cfg.ConflictCacheSize
-	if size == 0 {
-		size = 1024
-	}
-	return newConflictCache(size)
 }
 
 // SupportSize returns |S|.
@@ -260,14 +233,12 @@ func (b *Broker) DB() *relational.Database { return b.state.Load().db }
 // database version (relational.Database.Apply), the support set advanced
 // onto it lazily (cached plans carried over with their delta maintenance
 // deferred — each is rebased on its first post-update quote, all pending
-// batches coalesced into one pass; support.Set.Advance), and a fresh
-// conflict-set cache (entries are keyed by canonical SQL only, so none may
-// survive a version bump). Update latency is therefore independent of how
-// many plans are cached; set Config.BackgroundDrain (or call DrainPlans)
-// to fold the deferred rebases eagerly. Concurrent quotes that loaded the
-// previous state finish against it — prices remain internally consistent
-// offers on the snapshot they were computed from, and receipts pin that
-// version.
+// batches coalesced into one pass; support.Set.Advance). Update latency is
+// therefore independent of how many plans are cached; set
+// Config.BackgroundDrain (or call DrainPlans) to fold the deferred rebases
+// eagerly. Concurrent quotes that loaded the previous state finish against
+// it — prices remain internally consistent offers on the snapshot they
+// were computed from, and receipts pin that version.
 //
 // The calibrated pricing function is retained: its item weights attach to
 // support neighbors, which an update never re-homes, so post-update quotes
@@ -305,12 +276,7 @@ func (b *Broker) UpdateAssigned(changes []relational.CellChange) (uint64, []rela
 	}
 	newSet, stats := st.set.Advance(newDB, norm)
 	b.plansDeferred.Add(int64(stats.PlansDeferred))
-	b.state.Store(&marketState{
-		version: newDB.Version(),
-		db:      newDB,
-		set:     newSet,
-		cache:   b.newCache(),
-	})
+	b.state.Store(&marketState{version: newDB.Version(), db: newDB, set: newSet})
 	if b.cfg.BackgroundDrain && b.draining.CompareAndSwap(false, true) {
 		go func() {
 			for {
@@ -427,9 +393,9 @@ func (b *Broker) Algorithm() Algorithm {
 }
 
 // Quote prices an arbitrary incoming query: it computes the query's
-// conflict set against the support (a read-only computation, memoized per
-// canonical query signature) and applies the current pricing snapshot to
-// that bundle. It never blocks on other quotes, on recalibration, or on
+// conflict set against the support (a read-only probe of the support
+// set's cached plans) and applies the current pricing snapshot to that
+// bundle. It never blocks on other quotes, on recalibration, or on
 // live updates; the returned quote carries the database version it was
 // priced against.
 func (b *Broker) Quote(q *relational.SelectQuery) (Quote, error) {
@@ -544,46 +510,29 @@ func (b *Broker) QuoteBatchContext(ctx context.Context, queries []*relational.Se
 	return out, nil
 }
 
-// conflictSetOf computes (or recalls) CS(q, D) under one data state. The
-// cache key is the query's canonical SQL rendering, which omits the query
-// name: two structurally identical queries share one cache entry. The
-// cache lives inside the state, so a version bump retires every entry with
-// the state that produced it — a stale conflict set can never be served
-// for a newer snapshot.
+// conflictSetOf computes CS(q, D) under one data state.
 func (b *Broker) conflictSetOf(st *marketState, q *relational.SelectQuery) ([]int, error) {
-	compute := func() ([]int, error) {
-		items, err := support.ConflictSet(st.set, q)
-		if err != nil {
-			return nil, fmt.Errorf("market: conflict set of %q: %w", q.Name, err)
-		}
-		return items, nil
+	b.conflictSets.Add(1)
+	items, err := support.ConflictSet(st.set, q)
+	if err != nil {
+		return nil, fmt.Errorf("market: conflict set of %q: %w", q.Name, err)
 	}
-	if st.cache == nil {
-		return compute()
-	}
-	items, hit, err := st.cache.do(q.String(), compute)
-	if hit {
-		b.cacheHits.Add(1)
-	} else {
-		b.cacheMisses.Add(1)
-	}
-	return items, err
+	return items, nil
 }
 
-// CacheStats is the broker-lifetime conflict-cache accounting: hits and
-// misses are cumulative across version bumps (unlike CacheLen, which
-// reads the current state's cache), so serving layers can export them as
-// monotone counters.
+// CacheStats counts conflict-set computations over the broker's lifetime.
+// The broker memoizes no conflict sets, so Misses is the number of
+// conflict sets computed (one per quote, batch entry and purchase) and
+// Hits is always 0.
 type CacheStats struct {
 	Hits   uint64
 	Misses uint64
-	// Size is the number of memoized conflict sets in the current state.
-	Size int
 }
 
-// CacheStats returns the cumulative conflict-cache counters.
+// CacheStats returns the lifetime conflict-set counters (see the
+// CacheStats type).
 func (b *Broker) CacheStats() CacheStats {
-	return CacheStats{Hits: b.cacheHits.Load(), Misses: b.cacheMisses.Load(), Size: b.CacheLen()}
+	return CacheStats{Misses: b.conflictSets.Load()}
 }
 
 // priceBundle applies a pricing snapshot to a conflict set.
@@ -613,17 +562,19 @@ func priceBundle(st *marketState, snap *pricingSnapshot, q *relational.SelectQue
 
 // Purchase quotes the query and, if the buyer's budget covers the price,
 // executes it and returns the answer with a receipt. A budget below the
-// price returns ErrBudget and no answer. The quote, the delivered answer
-// and the receipt all come from one data state loaded at entry: a
-// concurrent Update cannot make the buyer pay for one snapshot and
-// receive another, and the receipt pins the version sold.
+// price, or a NaN budget, returns ErrBudget and no answer. The quote, the
+// delivered answer and the receipt all come from one data state loaded at
+// entry: a concurrent Update cannot make the buyer pay for one snapshot
+// and receive another, and the receipt pins the version sold.
 func (b *Broker) Purchase(q *relational.SelectQuery, budget float64) (*relational.Result, Receipt, error) {
 	st := b.state.Load()
 	quote, err := b.quoteWith(st, b.snap.Load(), q)
 	if err != nil {
 		return nil, Receipt{}, err
 	}
-	if quote.Price > budget {
+	// Written so that a NaN budget, which compares false with everything,
+	// is refused rather than waved through.
+	if !(quote.Price <= budget) {
 		return nil, Receipt{}, fmt.Errorf("%w: price %.2f exceeds budget %.2f", ErrBudget, quote.Price, budget)
 	}
 	// Snapshots are immutable (updates publish successors; nothing ever
@@ -641,7 +592,7 @@ func (b *Broker) Purchase(q *relational.SelectQuery, budget float64) (*relationa
 }
 
 // ErrBudget is returned by Purchase when the quoted price exceeds the
-// buyer's budget.
+// buyer's budget or the budget is NaN.
 var ErrBudget = fmt.Errorf("market: budget too low")
 
 // Revenue returns the total revenue across completed sales.
@@ -659,126 +610,4 @@ func (b *Broker) Sales() []Receipt {
 	copy(out, b.sales)
 	sort.Slice(out, func(i, j int) bool { return out[i].When.Before(out[j].When) })
 	return out
-}
-
-// conflictCache is a small mutex-guarded LRU mapping canonical query
-// signatures to conflict sets, with in-flight deduplication: concurrent
-// misses on the same key (a batch of structurally identical queries on a
-// cold cache) share one computation instead of racing to repeat it.
-// Entries are never stale — each cache belongs to exactly one marketState
-// (one database version) and is retired wholesale with it on Update — so
-// eviction exists only to bound memory.
-type conflictCache struct {
-	mu       sync.Mutex
-	max      int
-	entries  map[string]*list.Element
-	lru      *list.List // front = most recently used
-	inflight map[string]*inflightCall
-}
-
-type cacheEntry struct {
-	key   string
-	items []int
-}
-
-// inflightCall is one in-progress conflict-set computation; followers wait
-// on done and read items/err afterwards.
-type inflightCall struct {
-	done  chan struct{}
-	items []int
-	err   error
-}
-
-func newConflictCache(max int) *conflictCache {
-	return &conflictCache{
-		max:      max,
-		entries:  make(map[string]*list.Element, max),
-		lru:      list.New(),
-		inflight: make(map[string]*inflightCall),
-	}
-}
-
-// do returns the cached conflict set for key, joining an in-flight
-// computation if one exists, and otherwise running compute itself and
-// publishing the result. Failed computations are not cached. The hit
-// result reports whether the caller avoided paying for the computation
-// (a memoized entry or an in-flight join).
-func (c *conflictCache) do(key string, compute func() ([]int, error)) (items []int, hit bool, err error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		items := el.Value.(*cacheEntry).items
-		c.mu.Unlock()
-		return items, true, nil
-	}
-	if call, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
-		<-call.done
-		return call.items, true, call.err
-	}
-	call := &inflightCall{done: make(chan struct{})}
-	c.inflight[key] = call
-	c.mu.Unlock()
-
-	call.items, call.err = compute()
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if call.err == nil {
-		c.insertLocked(key, call.items)
-	}
-	c.mu.Unlock()
-	close(call.done)
-	return call.items, false, call.err
-}
-
-func (c *conflictCache) get(key string) ([]int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).items, true
-}
-
-func (c *conflictCache) put(key string, items []int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insertLocked(key, items)
-}
-
-func (c *conflictCache) insertLocked(key string, items []int) {
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		el.Value.(*cacheEntry).items = items
-		return
-	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, items: items})
-	for c.lru.Len() > c.max {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-	}
-}
-
-// inflightLen reports the number of in-progress computations (test hook).
-func (c *conflictCache) inflightLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.inflight)
-}
-
-// CacheLen reports the number of memoized conflict sets in the current
-// state (for tests and diagnostics); 0 when caching is disabled. A
-// version bump starts from an empty cache.
-func (b *Broker) CacheLen() int {
-	cache := b.state.Load().cache
-	if cache == nil {
-		return 0
-	}
-	cache.mu.Lock()
-	defer cache.mu.Unlock()
-	return cache.lru.Len()
 }

@@ -3,9 +3,7 @@ package market
 import (
 	"errors"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"querypricing/internal/datagen"
@@ -100,9 +98,12 @@ func TestPurchaseFlow(t *testing.T) {
 	if quote.Price <= 0 {
 		t.Skipf("W10 priced 0 on this instance; pick a different query")
 	}
-	// Budget below price: rejected.
-	if _, _, err := b.Purchase(q, quote.Price/2); !errors.Is(err, ErrBudget) {
-		t.Fatalf("underfunded purchase error = %v, want ErrBudget", err)
+	// Budget below price, or NaN (which compares false with every
+	// price): rejected.
+	for _, budget := range []float64{quote.Price / 2, math.NaN()} {
+		if _, _, err := b.Purchase(q, budget); !errors.Is(err, ErrBudget) {
+			t.Fatalf("purchase with budget %g: error = %v, want ErrBudget", budget, err)
+		}
 	}
 	if b.Revenue() != 0 {
 		t.Fatal("failed purchase must not add revenue")
@@ -205,114 +206,6 @@ func TestQuoteBatchMatchesSerial(t *testing.T) {
 	}
 	if quotes, err := b.QuoteBatch(nil); err != nil || quotes != nil {
 		t.Errorf("empty batch = (%v, %v), want (nil, nil)", quotes, err)
-	}
-}
-
-func TestConflictSetCache(t *testing.T) {
-	b, qs := newTestBroker(t)
-	if n := b.CacheLen(); n != 0 {
-		t.Fatalf("fresh broker cache length = %d, want 0", n)
-	}
-	first, err := b.Quote(qs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := b.CacheLen(); n != 1 {
-		t.Fatalf("cache length after one quote = %d, want 1", n)
-	}
-	again, err := b.Quote(qs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != again {
-		t.Fatalf("cached quote %+v != original %+v", again, first)
-	}
-	if n := b.CacheLen(); n != 1 {
-		t.Fatalf("cache length after repeat quote = %d, want 1", n)
-	}
-
-	// Disabled cache never memoizes.
-	db := datagen.World(datagen.WorldConfig{Countries: 40, Cities: 120, Seed: 1})
-	nb, err := NewBroker(db, Config{SupportSize: 40, Seed: 2, ConflictCacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nb.Quote(qs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if n := nb.CacheLen(); n != 0 {
-		t.Fatalf("disabled cache length = %d, want 0", n)
-	}
-}
-
-// TestConflictCacheSingleflight asserts that concurrent misses on one key
-// share a single computation, and that failed computations are retried
-// rather than cached.
-func TestConflictCacheSingleflight(t *testing.T) {
-	c := newConflictCache(8)
-	var computes atomic.Int32
-	release := make(chan struct{})
-	compute := func() ([]int, error) {
-		computes.Add(1)
-		<-release
-		return []int{7}, nil
-	}
-
-	var wg sync.WaitGroup
-	results := make([][]int, 16)
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			items, _, err := c.do("k", compute)
-			if err != nil {
-				t.Error(err)
-			}
-			results[g] = items
-		}(g)
-	}
-	// Let every goroutine reach the cache before the leader finishes.
-	for c.inflightLen() == 0 {
-		runtime.Gosched()
-	}
-	close(release)
-	wg.Wait()
-	if n := computes.Load(); n != 1 {
-		t.Errorf("computes = %d, want 1 (concurrent misses must share one call)", n)
-	}
-	for g, items := range results {
-		if len(items) != 1 || items[0] != 7 {
-			t.Errorf("goroutine %d got %v, want [7]", g, items)
-		}
-	}
-
-	// Errors are returned to all waiters but never cached.
-	wantErr := errors.New("boom")
-	if _, _, err := c.do("bad", func() ([]int, error) { return nil, wantErr }); !errors.Is(err, wantErr) {
-		t.Errorf("do error = %v, want %v", err, wantErr)
-	}
-	if _, _, err := c.do("bad", func() ([]int, error) { return []int{1}, nil }); err != nil {
-		t.Errorf("retry after error failed: %v", err)
-	}
-}
-
-func TestConflictCacheEviction(t *testing.T) {
-	c := newConflictCache(2)
-	c.put("a", []int{1})
-	c.put("b", []int{2})
-	c.put("c", []int{3}) // evicts "a", the least recently used
-	if _, ok := c.get("a"); ok {
-		t.Error("oldest entry survived eviction")
-	}
-	if items, ok := c.get("b"); !ok || len(items) != 1 || items[0] != 2 {
-		t.Errorf("entry b = (%v, %v), want ([2], true)", items, ok)
-	}
-	c.put("d", []int{4}) // "c" is now LRU (b was just touched), so c goes
-	if _, ok := c.get("c"); ok {
-		t.Error("LRU entry survived eviction")
-	}
-	if _, ok := c.get("b"); !ok {
-		t.Error("recently used entry was evicted")
 	}
 }
 

@@ -5,12 +5,11 @@ package market
 // is a pure value: the versioned base database, the support neighbors,
 // the calibrated pricing function, and the sales log. Snapshot captures
 // that value and Restore rebuilds a serving broker from it without
-// re-running Calibrate or BuildHypergraph: compiled plans and conflict
-// caches are warm-up state recomputed lazily (and deterministically) on
-// first use, so a restored broker serves byte-identical quotes at the
-// pinned version from its first request. internal/store persists
-// BrokerSnapshot to disk and replays the change/receipt WAL on top; see
-// docs/OPERATIONS.md.
+// re-running Calibrate or BuildHypergraph: compiled plans are warm-up
+// state recomputed lazily (and deterministically) on first use, so a
+// restored broker serves byte-identical quotes at the pinned version from
+// its first request. internal/store persists BrokerSnapshot to disk and
+// replays the change/receipt WAL on top; see docs/OPERATIONS.md.
 
 import (
 	"fmt"
@@ -23,8 +22,8 @@ import (
 // BrokerSnapshot is the complete durable state of a broker at one
 // instant: everything Restore needs to serve byte-identical quotes at
 // the same version, and nothing that can be recomputed deterministically
-// (compiled plans, join indexes, conflict caches are deliberately
-// absent — they are derived state).
+// (compiled plans and join indexes are deliberately absent — they are
+// derived state).
 type BrokerSnapshot struct {
 	// Version is the base-database version quotes were being priced
 	// against when the snapshot was taken (== DB.Version()).

@@ -42,11 +42,7 @@ func TestUpdateAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBrokerWithSupport(db, set, Config{
-		Seed:              2,
-		LPIPCandidates:    6,
-		ConflictCacheSize: -1,
-	})
+	b, err := NewBrokerWithSupport(db, set, Config{Seed: 2, LPIPCandidates: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

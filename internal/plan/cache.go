@@ -559,8 +559,8 @@ func hashRows(rows [][]relational.Value, col int) map[string][]int32 {
 }
 
 // Key returns the cache key of a query: its canonical SQL rendering.
-// Structurally identical queries share one key (and so one plan, one
-// conflict-set cache entry, and one home shard).
+// Structurally identical queries share one key (and so one plan and one
+// home shard).
 func Key(q *relational.SelectQuery) string { return q.String() }
 
 // Cache is a bounded LRU of compiled plans keyed by the query's canonical

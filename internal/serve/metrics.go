@@ -99,13 +99,6 @@ func (s *Server) registerStateMetrics() {
 		"Compaction epochs applied over the broker's lifetime (restored across restarts).",
 		func() float64 { return float64(s.broker.Compactions()) })
 
-	reg.CounterFunc("marketd_conflict_cache_hits_total",
-		"Conflict-set cache hits (including in-flight joins), cumulative across version bumps.",
-		func() float64 { return float64(s.broker.CacheStats().Hits) })
-	reg.CounterFunc("marketd_conflict_cache_misses_total",
-		"Conflict-set cache misses (computations paid), cumulative across version bumps.",
-		func() float64 { return float64(s.broker.CacheStats().Misses) })
-
 	reg.GaugeFunc("marketd_plans_cached",
 		"Compiled query plans cached across support shards.",
 		func() float64 { return float64(s.broker.PlanStats().Plans) })

@@ -21,9 +21,8 @@
 //     final snapshot so the next boot replays nothing;
 //   - observability: every server carries a metrics.Registry served at
 //     GET /metrics in Prometheus text format — request counts by route
-//     and status, latency histograms, shed counts, plan-cache and
-//     conflict-cache state, store ages and fsync latency (see
-//     docs/OPERATIONS.md).
+//     and status, latency histograms, shed counts, plan-cache state,
+//     store ages and fsync latency (see docs/OPERATIONS.md).
 package serve
 
 import (
@@ -33,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -554,6 +554,10 @@ func (s *Server) handlePurchase(w http.ResponseWriter, r *http.Request, ctx cont
 	budget, err := strconv.ParseFloat(r.URL.Query().Get("budget"), 64)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "budget query parameter required"})
+		return
+	}
+	if math.IsNaN(budget) {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "budget must be a number, not NaN"})
 		return
 	}
 	if err := ctx.Err(); err != nil {

@@ -238,3 +238,35 @@ func postHdr(t *testing.T, url, body string) (int, []byte, http.Header) {
 	}
 	return resp.StatusCode, data, resp.Header
 }
+
+// TestPurchaseRejectsNaNBudget: strconv.ParseFloat accepts "NaN", and a
+// NaN budget compares false with every price, so it must be refused at
+// the wire as a malformed request rather than reach the budget check.
+func TestPurchaseRejectsNaNBudget(t *testing.T) {
+	s, err := New(testConfig("")) // in-memory: only request validation is under test
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Routes())
+	defer ts.Close()
+
+	for _, budget := range []string{"NaN", "nan", "-NaN"} {
+		if code, body := post(t, ts.URL+"/purchase?budget="+budget, countryQuery); code != http.StatusBadRequest {
+			t.Errorf("budget=%s: %d %s, want 400", budget, code, body)
+		}
+	}
+	code, stats := get(t, ts.URL+"/stats")
+	if code != http.StatusOK {
+		t.Fatalf("stats: %d %s", code, stats)
+	}
+	var st struct {
+		Sales int `json:"sales"`
+	}
+	if err := json.Unmarshal(stats, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Sales != 0 {
+		t.Fatalf("sales = %d after NaN-budget purchases, want 0", st.Sales)
+	}
+}

@@ -35,6 +35,7 @@ import (
 // in; extend as further packages are brought up to spec).
 var auditedPackages = []string{
 	"internal/loadgen",
+	"internal/market",
 	"internal/metrics",
 	"internal/plan",
 	"internal/serve",
