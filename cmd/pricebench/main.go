@@ -80,12 +80,12 @@ func realMain() int {
 				"(default all: "+strings.Join(engine.List(), ",")+"); special-case "+
 				"experiments (lemmas, ablations, support-selection) keep their fixed rosters")
 
-		loadRate    = flag.Float64("rate", 300, "load experiment: offered request rate (req/s)")
-		loadDur     = flag.Duration("duration", 4*time.Second, "load experiment: run duration")
-		loadMix     = flag.String("mix", "", "load experiment: traffic mix, e.g. quote=0.85,batch=0.05,update=0.05,purchase=0.05 (empty = that default)")
-		loadAddr    = flag.String("load-addr", "", "load experiment: target a running marketd at this address instead of booting in-process (its -seed must match)")
-		loadWorkers = flag.Int("load-workers", 0, "load experiment: open-loop lanes (0 = scaled to rate)")
-		loadSLO     = flag.Bool("slo", false, "load/ingest experiments: print Benchmark-format slo_<experiment> lines for scripts/bench.sh")
+		loadRate    = flag.Float64("rate", 300, "load experiments: offered request rate (req/s)")
+		loadDur     = flag.Duration("duration", 4*time.Second, "load experiments: run duration")
+		loadMix     = flag.String("mix", "", "load experiments: traffic mix, e.g. quote=0.85,batch=0.05,update=0.05,purchase=0.05 (empty = the experiment's default mix)")
+		loadAddr    = flag.String("load-addr", "", "load/ingest experiments: target a running marketd at this address instead of booting in-process (its -seed must match)")
+		loadWorkers = flag.Int("load-workers", 0, "load experiments: open-loop lanes (0 = scaled to rate)")
+		loadSLO     = flag.Bool("slo", false, "load/ingest/compact experiments: print Benchmark-format slo_<experiment> lines for scripts/bench.sh")
 	)
 	flag.Parse()
 
@@ -300,13 +300,10 @@ func (r *runner) run(id string) error {
 		return r.runLiveUpdates()
 	case "restart":
 		return r.runRestart()
-	case "load":
-		return r.runLoad()
-	case "ingest":
-		return r.runIngest()
-	case "compact":
-		return r.runCompact()
 	default:
+		if _, ok := loadProfiles[id]; ok {
+			return r.runLoad(id)
+		}
 		return fmt.Errorf("unknown experiment %q (try -list)", id)
 	}
 	return nil

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	neturl "net/url"
@@ -428,17 +429,13 @@ func (r *Result) String() string {
 }
 
 // SLOLines renders the run as Go-benchmark-format lines that
-// scripts/bench.sh folds into BENCH_<n>.json as slo_* entries: per
-// class, p50/p95/p99 latency (the value column is nanoseconds, the
+// scripts/bench.sh folds into BENCH_<n>.json as slo_<group>/* entries:
+// per class, p50/p95/p99 latency (the value column is nanoseconds, the
 // harness's ns/op slot) and the error rate in parts per million of
-// requests sent (same slot, documented in docs/LOAD.md). Status-ordered
-// and deterministic, so trajectory diffs are stable.
-func (r *Result) SLOLines() string { return r.SLOLinesNamed("load") }
-
-// SLOLinesNamed is SLOLines under a caller-chosen group name, so
-// distinct experiments (the default serving mix, the streaming-ingest
-// mix) record separate slo_<group>/* trajectories in BENCH_<n>.json.
-func (r *Result) SLOLinesNamed(group string) string {
+// requests sent (same slot, documented in docs/LOAD.md). The group
+// keeps each experiment's trajectory separate. Class-ordered and
+// deterministic, so trajectory diffs are stable.
+func (r *Result) SLOLines(group string) string {
 	var sb strings.Builder
 	for _, c := range Classes {
 		cr, ok := r.Classes[c]
@@ -520,8 +517,8 @@ func Run(cfg Config, w Workload) (*Result, error) {
 	weights := cfg.Mix.weights()
 	totalW := 0.0
 	for i, c := range Classes {
-		if weights[i] < 0 {
-			return nil, fmt.Errorf("loadgen: negative mix weight for %s", c)
+		if !(weights[i] >= 0) || math.IsInf(weights[i], 1) {
+			return nil, fmt.Errorf("loadgen: mix weight for %s must be finite and non-negative, got %g", c, weights[i])
 		}
 		if weights[i] > 0 && len(w.pool(c)) == 0 {
 			return nil, fmt.Errorf("loadgen: mix includes %s but its body pool is empty", c)

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -236,6 +237,12 @@ func TestRunConfigValidation(t *testing.T) {
 	if _, err := Run(Config{BaseURL: "http://x", Rate: 1, Duration: 0}, w); err == nil {
 		t.Error("zero duration accepted")
 	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		mix := Mix{Quote: bad, Batch: 0.05}
+		if _, err := Run(Config{BaseURL: "http://127.0.0.1:1", Rate: 1, Duration: time.Second, Mix: mix}, w); err == nil {
+			t.Errorf("mix weight %g accepted", bad)
+		}
+	}
 	empty := Workload{Quotes: [][]byte{[]byte(`{}`)}}
 	if _, err := Run(Config{BaseURL: "http://x", Rate: 1, Duration: time.Second}, empty); err == nil {
 		t.Error("empty pool for weighted class accepted")
@@ -249,7 +256,7 @@ func TestSLOLinesFormat(t *testing.T) {
 		cr.Latency.Observe(time.Millisecond)
 	}
 	res.Classes[ClassQuote] = cr
-	out := res.SLOLines()
+	out := res.SLOLines("load")
 	for _, want := range []string{
 		"Benchmarkslo_load/quote_p50 1 ",
 		"Benchmarkslo_load/quote_p99 1 ",

@@ -27,20 +27,15 @@
 #   BENCHFILTER_BASE / BENCHFILTER_QUOTE  override those group regexps
 #   LOADRATE / LOADDUR / LOADCOUNT  the SLO load group: offered rate
 #                    (default 300 req/s), duration per round (default 4s)
-#                    and rounds (default 2; fastest per entry recorded) of
-#                    `pricebench -experiment load -slo`, whose
-#                    slo_load/<class>_{p50,p95,p99,err_ppm} lines land in
-#                    the JSON alongside the microbenchmarks (docs/LOAD.md);
-#                    LOADCOUNT=0 skips the group
-#   INGESTCOUNT      rounds of `pricebench -experiment ingest -slo` — the
-#                    streaming-ingest mix (update-heavy, half the update
-#                    bodies full-row inserts), recorded as slo_ingest/*
-#                    entries (default 2; 0 skips); shares LOADRATE/LOADDUR
-#   COMPACTCOUNT     rounds of `pricebench -experiment compact -slo` — the
-#                    delete-heavy mix through auto-compaction epochs,
-#                    recorded as slo_compact/* entries including end-of-run
-#                    slot counts with and without compaction (default 2;
-#                    0 skips); shares LOADRATE/LOADDUR
+#                    and rounds per experiment (default 2; fastest per
+#                    entry recorded; 0 skips the group) of
+#                    `pricebench -experiment <exp> -slo` for each serving
+#                    profile — load (the default mix), ingest (update-heavy,
+#                    half the update bodies inserts) and compact (the
+#                    delete-heavy mix through auto-compaction epochs, plus
+#                    end-of-run slot counts with and without compaction) —
+#                    whose slo_<exp>/* lines land in the JSON alongside the
+#                    microbenchmarks (docs/LOAD.md)
 #
 # The tracked set pins the conflict-set engine: hypergraph construction
 # (serial vs parallel vs incremental vs sharded), the online conflict-set
@@ -76,8 +71,6 @@ quotefilter="${BENCHFILTER_QUOTE:-BenchmarkConflictSet|BenchmarkQuoteBatch|Bench
 loadrate="${LOADRATE:-300}"
 loaddur="${LOADDUR:-4s}"
 loadcount="${LOADCOUNT:-2}"
-ingestcount="${INGESTCOUNT:-2}"
-compactcount="${COMPACTCOUNT:-2}"
 out="BENCH_${n}.json"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
@@ -107,33 +100,14 @@ for i in $(seq "$quotecount"); do
 	go test -run '^$' -bench "$quotefilter" -benchtime "$quotetime" . | tee -a "$raw"
 done
 # The SLO load group: the full serving stack (internal/serve over
-# httptest) under open-loop mixed traffic; pricebench prints its
-# latency-percentile results as Benchmark-format lines, so the same awk
-# ingests them as slo_load/* entries and --compare gates
-# latency-under-load regressions like any other benchmark.
-if [ "$loadcount" -gt 0 ]; then
+# httptest) under open-loop traffic, once per serving profile;
+# pricebench prints its latency-percentile results as Benchmark-format
+# lines, so the same awk ingests them as slo_<exp>/* entries.
+for exp in load ingest compact; do
 	for i in $(seq "$loadcount"); do
-		go run ./cmd/pricebench -experiment load -rate "$loadrate" -duration "$loaddur" -slo | tee -a "$raw"
+		go run ./cmd/pricebench -experiment "$exp" -rate "$loadrate" -duration "$loaddur" -slo | tee -a "$raw"
 	done
-fi
-# The streaming-ingest group: same stack and rate, but under the
-# insert-bearing StreamingIngestMix, so the trajectory also tracks
-# latency while the database itself is growing (slo_ingest/* entries).
-if [ "$ingestcount" -gt 0 ]; then
-	for i in $(seq "$ingestcount"); do
-		go run ./cmd/pricebench -experiment ingest -rate "$loadrate" -duration "$loaddur" -slo | tee -a "$raw"
-	done
-fi
-# The compaction group: the delete-heavy mix (every pooled update body an
-# insert, half the issued updates deletes) against an auto-compacting
-# boot, so the trajectory tracks quote latency through compaction epochs
-# and the end-of-run slot counts with and without compaction
-# (slo_compact/* entries; docs/OPERATIONS.md).
-if [ "$compactcount" -gt 0 ]; then
-	for i in $(seq "$compactcount"); do
-		go run ./cmd/pricebench -experiment compact -rate "$loadrate" -duration "$loaddur" -slo | tee -a "$raw"
-	done
-fi
+done
 
 awk -v pr="$n" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
   /^goos:/   { goos = $2 }

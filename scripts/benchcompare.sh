@@ -10,9 +10,10 @@
 # so a renamed or dropped benchmark never disappears silently from the
 # trajectory. With --fail-over PCT, any benchmark whose ns/op or
 # allocs/op regressed by more than PCT percent is flagged with "!" and
-# the script exits nonzero — the CI regression gate. The files are
-# line-structured (one benchmark object per line), so a POSIX awk join is
-# enough — no jq dependency.
+# the script exits nonzero. The last line reports how many benchmarks
+# were compared. The awk join reads one benchmark object per line, so a
+# pretty-printed file (BENCH_9.json) carries no values on its name lines
+# and compares 0.
 set -euo pipefail
 
 failover=""
@@ -63,6 +64,7 @@ awk -v oldfile="$old" -v newfile="$new" -v failover="$failover" '
       ns = field(line, "ns_per_op")
       al = field(line, "allocs_per_op")
       if (nm in oldNs) {
+        if (oldNs[nm] != "" && ns != "") compared++
         flag = ""
         if (regressed(oldNs[nm], ns) || regressed(oldAllocs[nm], al)) {
           flag = " !"
@@ -82,6 +84,7 @@ awk -v oldfile="$old" -v newfile="$new" -v failover="$failover" '
       printf "%-42s %14s %14s %8s   %10s %10s %8s\n", nm, oldNs[nm], "-", "removed", \
         (oldAllocs[nm] == "" ? "-" : oldAllocs[nm]), "-", "-"
     }
+    printf "benchcompare: compared %d benchmark(s) with ns/op in both files\n", compared
     if (bad > 0) {
       printf "benchcompare: %d benchmark(s) regressed more than %s%% (flagged \"!\")\n", bad, failover > "/dev/stderr"
       exit 1
