@@ -1,6 +1,7 @@
-// Package bounds computes the revenue upper bounds the paper's figures
-// normalize against: the trivial sum of valuations, and the heuristic
-// "subadditive bound" of Section 6.1 — a linear program whose variables are
+// Package bounds computes the revenue bounds the paper's figures report:
+// the trivial sum of valuations, an upper bound on any pricing's revenue
+// that every figure normalizes against, and the heuristic "subadditive
+// bound" of Section 6.1 — a linear program whose variables are
 // per-bundle prices capped by valuations and whose constraints encode
 // arbitrage (cover) relations between bundles, with constraints generated
 // greedily because their full number is exponential.
@@ -38,10 +39,15 @@ func SumValuations(h *hypergraph.Hypergraph) float64 {
 	return h.TotalValuation()
 }
 
-// Subadditive computes the heuristic subadditive upper bound: maximize
+// Subadditive computes the paper's heuristic subadditive LP: maximize
 // sum_e p_e with 0 <= p_e <= v_e subject to p_e <= sum_{e' in C(e)} p_{e'}
 // for a greedily-chosen cover C(e) of every bundle e by other bundles
 // (bundles that cannot be covered keep only the p_e <= v_e cap).
+//
+// It is not an upper bound on revenue. It bounds only pricings that sell
+// every bundle: a pricing that declines some sales can earn more. Two
+// bundles over one item valued 10 and 1 give an LP value of 2, while the
+// item price 10 earns 10.
 func Subadditive(h *hypergraph.Hypergraph, opts Options) (float64, error) {
 	m := h.NumEdges()
 	if m == 0 {

@@ -115,6 +115,27 @@ func TestSubadditiveDominatesSellEverythingPricings(t *testing.T) {
 	}
 }
 
+// TestSubadditiveIsNotARevenueBound pins the counterexample the doc
+// comment gives: two bundles over one item, valued 10 and 1. Each covers
+// the other, so the LP caps both at 1 and returns 2, while the item price
+// 10 sells only the first bundle and earns 10.
+func TestSubadditiveIsNotARevenueBound(t *testing.T) {
+	h := hypergraph.MustFromEdges(1, []hypergraph.Edge{
+		{Items: []int{0}, Valuation: 10},
+		{Items: []int{0}, Valuation: 1},
+	})
+	bound, err := Subadditive(h, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(bound-2) > 1e-6 {
+		t.Fatalf("subadditive LP = %g, want 2", bound)
+	}
+	if rev := pricing.RevenueAdditive(h, []float64{10}); math.Abs(rev-10) > 1e-9 {
+		t.Fatalf("item price 10 earns %g, want 10", rev)
+	}
+}
+
 func TestSubadditiveMaxConstraints(t *testing.T) {
 	h := hypergraph.New(6)
 	for i := 0; i < 12; i++ {

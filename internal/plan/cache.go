@@ -128,24 +128,34 @@ func consolidateWindow(changes []relational.CellChange) []relational.CellChange 
 	return out
 }
 
-// IndexPool shares the join indexes of bare (predicate-free) scans across
-// plans — and across plan caches — compiled against the same base
-// database: a bare scan is the table itself, so its hash index depends
-// only on (table, column). A sharded support set hands one pool to every
-// shard's cache so no bare index is ever built twice. Safe for concurrent
-// use.
+// IndexPool shares scan artifacts across plans — and across plan caches —
+// compiled against the same base database. A sharded support set hands
+// one pool to every shard's cache, so no shared artifact is built twice:
+//
+//   - the join indexes of bare (predicate-free) scans, keyed by (table,
+//     column): a bare scan is the table itself;
+//   - filtered scans, keyed by (table, pushed-down predicates), and their
+//     join indexes, keyed by (table, predicates, column);
+//   - per-column sorted orders, which range predicates binary-search.
+//
+// Safe for concurrent use. Everything a pool publishes is immutable: plans
+// adopt the shared slices and maps read-only, and a plan that must patch a
+// shared index at rebase clones it first (patchFilteredAlias).
 //
 // Pools advance lazily across base-database updates: Advance appends the
-// change batch to a pending log instead of patching anything, and an index
-// is folded up to the pool's snapshot on its first post-update get — all
-// deferred batches coalesced into one patch pass per (table, column).
+// change batch to a pending log instead of patching anything, and a bare
+// index is folded up to the pool's snapshot on its first post-update get —
+// all deferred batches coalesced into one patch pass per (table, column).
+// Filtered scans, their indexes and sorted orders are not carried: the
+// successor rebuilds each on first use.
 type IndexPool struct {
 	mu      sync.Mutex
 	db      *relational.Database // the snapshot this pool serves
 	version uint64               // == db.Version()
 	m       map[indexPoolKey]*poolEntry
-	scans   map[scanPoolKey]*scanEntry
-	sorted  map[indexPoolKey]*sortedEntry
+	scans   map[scanPoolKey]scanEntry
+	scanIdx map[scanIndexKey]map[uint64][]int32
+	sorted  map[indexPoolKey][]int32
 	pending []ChangeBatch // batches not yet folded into every entry
 }
 
@@ -163,26 +173,21 @@ type scanPoolKey struct {
 	preds string
 }
 
-// scanEntry is one published filtered scan: the rows passing the
-// predicates, in table order, and the base-row -> position+1 table.
-// Entries are immutable once published and read-only to every plan that
-// adopts them (rebasing always replaces scan slices, never mutates them).
-// Unlike bare-scan indexes, stale entries are never patched: a snapshot
-// mismatch just rescans, exactly what an unshared compile would do.
-type scanEntry struct {
-	rows    [][]relational.Value
-	pos     []int32
-	version uint64
+// scanIndexKey identifies the join index of a pooled filtered scan on one
+// column. Queries that share a filtered scan often join it on the same
+// column: SSB's calibration workload, whose queries filter the fact table
+// alike and join it to the same dimensions, looks up 2072 such indexes
+// and builds 591.
+type scanIndexKey struct {
+	scan scanPoolKey
+	col  int
 }
 
-// sortedEntry is one published sorted column order: the table's non-NULL
-// row indices, ascending by cell value (Value.Compare, ties by row
-// index). Range predicates binary-search it instead of scanning the
-// table. Immutable once published; dropped on Advance like filtered
-// scans and rebuilt at the new snapshot on first use.
-type sortedEntry struct {
-	order   []int32
-	version uint64
+// scanEntry is one published filtered scan: the rows passing the
+// predicates, in table order, and the base-row -> position+1 table.
+type scanEntry struct {
+	rows [][]relational.Value
+	pos  []int32
 }
 
 // poolEntry is one published bare-scan index together with the database
@@ -190,7 +195,7 @@ type sortedEntry struct {
 // replaces the entry, never mutates it, so pools for older snapshots that
 // share the entry keep serving their version.
 type poolEntry struct {
-	idx     map[string][]int32
+	idx     map[uint64][]int32
 	version uint64
 }
 
@@ -200,8 +205,9 @@ func NewIndexPool(db *relational.Database) *IndexPool {
 		db:      db,
 		version: db.Version(),
 		m:       make(map[indexPoolKey]*poolEntry),
-		scans:   make(map[scanPoolKey]*scanEntry),
-		sorted:  make(map[indexPoolKey]*sortedEntry),
+		scans:   make(map[scanPoolKey]scanEntry),
+		scanIdx: make(map[scanIndexKey]map[uint64][]int32),
+		sorted:  make(map[indexPoolKey][]int32),
 	}
 }
 
@@ -214,17 +220,11 @@ func NewIndexPool(db *relational.Database) *IndexPool {
 // snapshot unmodified. When the pending log would exceed MaxPendingBatches
 // the successor folds every entry eagerly and starts from an empty log.
 func (p *IndexPool) Advance(newDB *relational.Database, changes []relational.CellChange) *IndexPool {
-	// Filtered scans are not carried across snapshots: a stale entry is
-	// useless (membership and row contents may both have moved), and the
-	// successor's first compile per predicate rescans — the same cost an
-	// unshared compile pays.
-	np := &IndexPool{
-		db:      newDB,
-		version: newDB.Version(),
-		m:       make(map[indexPoolKey]*poolEntry),
-		scans:   make(map[scanPoolKey]*scanEntry),
-		sorted:  make(map[indexPoolKey]*sortedEntry),
-	}
+	// Filtered scans, their indexes and sorted orders are not carried
+	// across snapshots: a stale entry is useless (membership and row
+	// contents may both have moved), and the successor's first compile per
+	// predicate rescans — the same cost an unshared compile pays.
+	np := NewIndexPool(newDB)
 	// Capture each valid change's pre-change state now, from the
 	// receiver's snapshot, so the pending log carries plain values instead
 	// of keeping whole predecessor databases reachable: a cell update's
@@ -369,7 +369,6 @@ func (p *IndexPool) patchEntry(key indexPoolKey, e *poolEntry) *poolEntry {
 	}
 	idx := e.idx
 	cloned := false
-	var oldKey, newKey []byte
 	for _, row := range order {
 		st := states[row]
 		ov, nv := st.old, st.new
@@ -379,7 +378,7 @@ func (p *IndexPool) patchEntry(key indexPoolKey, e *poolEntry) *poolEntry {
 		if !st.newPresent {
 			nv = relational.Null()
 		}
-		if ov.IsNull() && nv.IsNull() || !ov.IsNull() && !nv.IsNull() && sameKey(ov, nv) {
+		if ov.IsNull() && nv.IsNull() || relational.SameKey(ov, nv) {
 			continue // key encoding unchanged: postings stay valid
 		}
 		if !cloned {
@@ -387,18 +386,16 @@ func (p *IndexPool) patchEntry(key indexPoolKey, e *poolEntry) *poolEntry {
 			cloned = true
 		}
 		if !ov.IsNull() {
-			oldKey = ov.AppendEncode(oldKey[:0])
-			removePosting(idx, string(oldKey), int32(row))
+			removePosting(idx, keyHash(ov), int32(row))
 		}
 		if !nv.IsNull() {
-			newKey = nv.AppendEncode(newKey[:0])
-			insertPosting(idx, string(newKey), int32(row))
+			insertPosting(idx, keyHash(nv), int32(row))
 		}
 	}
 	return &poolEntry{idx: idx, version: p.version}
 }
 
-func (p *IndexPool) get(table string, col int, rows [][]relational.Value) map[string][]int32 {
+func (p *IndexPool) get(table string, col int, rows [][]relational.Value) map[uint64][]int32 {
 	key := indexPoolKey{table, col}
 	p.mu.Lock()
 	if e, ok := p.m[key]; ok {
@@ -423,61 +420,68 @@ func (p *IndexPool) get(table string, col int, rows [][]relational.Value) map[st
 	return idx
 }
 
-// getScan returns the shared filtered scan for (table, predicate key) at
-// the pool's snapshot, building it with build on first use. A concurrent
-// builder's published entry wins, so every plan compiled against the same
-// snapshot shares one rows slice and one position table.
-func (p *IndexPool) getScan(table, preds string, build func() ([][]relational.Value, []int32)) ([][]relational.Value, []int32) {
-	key := scanPoolKey{table, preds}
+// publishOnce returns m[key], building and publishing it on first use.
+// The build runs outside the pool lock; when concurrent builders race, the
+// first published value wins and every caller shares it.
+func publishOnce[K comparable, V any](p *IndexPool, m map[K]V, key K, build func() V) V {
 	p.mu.Lock()
-	if e, ok := p.scans[key]; ok && e.version == p.version {
-		p.mu.Unlock()
-		return e.rows, e.pos
-	}
+	v, ok := m[key]
 	p.mu.Unlock()
-	rows, pos := build()
+	if ok {
+		return v
+	}
+	v = build()
 	p.mu.Lock()
-	if prior, ok := p.scans[key]; ok && prior.version == p.version {
-		rows, pos = prior.rows, prior.pos // a concurrent builder won; share its copy
+	if prior, ok := m[key]; ok {
+		v = prior
 	} else {
-		p.scans[key] = &scanEntry{rows: rows, pos: pos, version: p.version}
+		m[key] = v
 	}
 	p.mu.Unlock()
-	return rows, pos
+	return v
+}
+
+// getScan returns the shared filtered scan for (table, predicate key) at
+// the pool's snapshot, building it with build on first use, so every plan
+// compiled against the snapshot shares one rows slice and one position
+// table.
+func (p *IndexPool) getScan(table, preds string, build func() ([][]relational.Value, []int32)) ([][]relational.Value, []int32) {
+	e := publishOnce(p, p.scans, scanPoolKey{table, preds}, func() scanEntry {
+		rows, pos := build()
+		return scanEntry{rows, pos}
+	})
+	return e.rows, e.pos
+}
+
+// getScanIndex returns the shared join index on column col of the filtered
+// scan getScan publishes for (table, preds), hashing rows — that scan — on
+// first use.
+func (p *IndexPool) getScanIndex(table, preds string, col int, rows [][]relational.Value) map[uint64][]int32 {
+	return publishOnce(p, p.scanIdx, scanIndexKey{scanPoolKey{table, preds}, col}, func() map[uint64][]int32 {
+		return hashRows(rows, col)
+	})
 }
 
 // getSorted returns the shared sorted order of (table, column) at the
 // pool's snapshot, building it on first use: the table's non-NULL row
 // indices ascending by cell value, ties broken by row index so the
-// published order is deterministic. A concurrent builder's entry wins.
+// published order is deterministic.
 func (p *IndexPool) getSorted(table string, col int, rows [][]relational.Value) []int32 {
-	key := indexPoolKey{table, col}
-	p.mu.Lock()
-	if e, ok := p.sorted[key]; ok && e.version == p.version {
-		p.mu.Unlock()
-		return e.order
-	}
-	p.mu.Unlock()
-	order := make([]int32, 0, len(rows))
-	for ri, row := range rows {
-		if row != nil && !row[col].IsNull() {
-			order = append(order, int32(ri))
+	return publishOnce(p, p.sorted, indexPoolKey{table, col}, func() []int32 {
+		order := make([]int32, 0, len(rows))
+		for ri, row := range rows {
+			if row != nil && !row[col].IsNull() {
+				order = append(order, int32(ri))
+			}
 		}
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if c := rows[a][col].Compare(rows[b][col]); c != 0 {
-			return c
-		}
-		return int(a - b)
+		slices.SortFunc(order, func(a, b int32) int {
+			if c := rows[a][col].Compare(rows[b][col]); c != 0 {
+				return c
+			}
+			return int(a - b)
+		})
+		return order
 	})
-	p.mu.Lock()
-	if prior, ok := p.sorted[key]; ok && prior.version == p.version {
-		order = prior.order // a concurrent builder won; share its copy
-	} else {
-		p.sorted[key] = &sortedEntry{order: order, version: p.version}
-	}
-	p.mu.Unlock()
-	return order
 }
 
 // searchGE returns the first position in a sorted order whose cell is >= v
@@ -495,40 +499,41 @@ func searchGT(order []int32, rows [][]relational.Value, col int, v relational.Va
 	})
 }
 
-// hashRows indexes a scan on one column; NULL keys are excluded, mirroring
-// Eval's hash join. The build is two-pass through a pooled compile arena:
-// the counting pass allocates each key string exactly once (in the
-// arena's ordinal map), every posting list is carved from one
+// hashRows indexes a scan on one column by key hash; NULL keys are
+// excluded, mirroring Eval's hash join. The build is two-pass through a
+// pooled compile arena: the counting pass gives each key hash an ordinal
+// and records every row's, every posting list is carved from one
 // exactly-sized block, and the published map is presized — so the only
 // allocations that survive are the ones the plan actually keeps. Postings
-// are filled in row order, so each list is ascending, and every carve is
+// are filled in row order, so each list is ascending (the rows of
+// colliding keys interleave in one list), and every carve is
 // capacity-exact, so a later insertPosting reallocates instead of
 // clobbering its neighbor.
-func hashRows(rows [][]relational.Value, col int) map[string][]int32 {
+func hashRows(rows [][]relational.Value, col int) map[uint64][]int32 {
 	ar := getCompileArena()
 	defer ar.recycle()
-	keys, counts, buf := ar.keys, ar.counts[:0], ar.buf
+	keys, counts, ords := ar.keys, ar.counts[:0], ar.aux[:0]
 	n := 0
 	for _, row := range rows {
-		if row == nil {
-			continue // tombstoned slot
-		}
-		v := row[col]
-		if v.IsNull() {
+		if row == nil || row[col].IsNull() {
+			ords = append(ords, -1) // tombstoned slot or NULL key
 			continue
 		}
 		n++
-		buf = v.AppendEncode(buf[:0])
-		if bi, ok := keys[string(buf)]; ok {
+		h := keyHash(row[col])
+		bi, ok := keys[h]
+		if ok {
 			counts[bi]++
 		} else {
-			keys[string(buf)] = int32(len(counts))
+			bi = int32(len(counts))
+			keys[h] = bi
 			counts = append(counts, 1)
 		}
+		ords = append(ords, bi)
 	}
-	idx := make(map[string][]int32, len(counts))
+	ar.counts, ar.aux = counts, ords
+	idx := make(map[uint64][]int32, len(counts))
 	if n == 0 {
-		ar.buf, ar.counts = buf, counts
 		return idx
 	}
 	block := make([]int32, n) // the one postings allocation the plan keeps
@@ -538,23 +543,15 @@ func hashRows(rows [][]relational.Value, col int) map[string][]int32 {
 		spans = append(spans, block[off:off:off+int(c)])
 		off += int(c)
 	}
-	for pos, row := range rows {
-		if row == nil {
-			continue
+	for pos, bi := range ords {
+		if bi >= 0 {
+			spans[bi] = append(spans[bi], int32(pos))
 		}
-		v := row[col]
-		if v.IsNull() {
-			continue
-		}
-		buf = v.AppendEncode(buf[:0])
-		spans[keys[string(buf)]] = append(spans[keys[string(buf)]], int32(pos))
 	}
-	// Publishing reuses the ordinal map's key strings: ranging hands back
-	// the exact string headers the counting pass allocated.
 	for k, bi := range keys {
 		idx[k] = spans[bi]
 	}
-	ar.buf, ar.counts, ar.spans = buf, counts, spans
+	ar.spans = spans
 	return idx
 }
 

@@ -4,9 +4,10 @@ package plan
 // enumeration state, the Compile-side sibling of the probe Arena
 // (arena.go) and of relational's pooled Eval scratch. Cold construction
 // builds thousands of plans back to back — every one hashing its scans
-// into join indexes — and the index build's intermediates (the key
-// ordinal map, per-key counts, carve cursors) die as soon as the index is
-// published, so they are pooled here instead of reallocated per plan.
+// into join indexes — and the index build's intermediates (the key-hash
+// ordinal map, per-row ordinals, per-key counts, carve cursors) die as
+// soon as the index is published, so they are pooled here instead of
+// reallocated per plan.
 //
 // The arena is pooled at package level rather than threaded per shard:
 // compilation runs under the plan cache's in-flight deduplication, so a
@@ -18,15 +19,14 @@ import "sync"
 
 // compileArena is one goroutine's compilation scratch.
 type compileArena struct {
-	keys   map[string]int32 // join key encoding -> bucket ordinal
+	keys   map[uint64]int32 // join key hash -> bucket ordinal
 	counts []int32          // rows per bucket, from the counting pass
 	spans  [][]int32        // per-bucket carve cursors into the postings block
-	buf    []byte           // key encoding scratch
-	aux    []int32          // candidate row indices (indexed filtered scans)
+	aux    []int32          // per-row bucket ordinals (hashRows) or candidate row indices (indexed filtered scans)
 }
 
 var compileArenaPool = sync.Pool{
-	New: func() any { return &compileArena{keys: make(map[string]int32)} },
+	New: func() any { return &compileArena{keys: make(map[uint64]int32)} },
 }
 
 func getCompileArena() *compileArena {

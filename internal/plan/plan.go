@@ -39,7 +39,6 @@ package plan
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"querypricing/internal/relational"
@@ -120,10 +119,10 @@ type compiledAlias struct {
 	preds  []predAt
 	bare   bool // no pushed-down predicates: the scan is the whole table
 
-	baseTableRows [][]relational.Value // the base table's full row slice (shared)
-	rows          [][]relational.Value // scan: base rows passing preds, in table order
-	posOfBaseRow  []int32              // base row index -> scan position+1 (0 = filtered out; nil when bare)
-	indexes       map[int]map[string][]int32
+	baseTableRows [][]relational.Value       // the base table's full row slice (shared)
+	rows          [][]relational.Value       // scan: base rows passing preds, in table order
+	posOfBaseRow  []int32                    // base row index -> scan position+1 (0 = filtered out; nil when bare)
+	indexes       map[int]map[uint64][]int32 // column -> key hash -> ascending scan positions
 
 	usedCols []bool // column indexes this alias reads (preds, joins, output)
 }
@@ -210,14 +209,14 @@ func (ab *aggBase) noteExtrema(v relational.Value) {
 		ab.min, ab.minN = v, 1
 	} else if c := v.Compare(ab.min); c < 0 || (c == 0 && relational.EncodingLess(v, ab.min)) {
 		ab.min, ab.minN = v, 1
-	} else if c == 0 && sameKey(v, ab.min) {
+	} else if c == 0 && relational.SameKey(v, ab.min) {
 		ab.minN++
 	}
 	if ab.max.IsNull() {
 		ab.max, ab.maxN = v, 1
 	} else if c := v.Compare(ab.max); c > 0 || (c == 0 && relational.EncodingLess(v, ab.max)) {
 		ab.max, ab.maxN = v, 1
-	} else if c == 0 && sameKey(v, ab.max) {
+	} else if c == 0 && relational.SameKey(v, ab.max) {
 		ab.maxN++
 	}
 }
@@ -330,7 +329,7 @@ func compile(db *relational.Database, q *relational.SelectQuery, shared *IndexPo
 	if err := p.validateLeftDeep(conds); err != nil {
 		return nil, err
 	}
-	p.buildIndexes(conds, shared)
+	p.buildIndexes(conds, db, shared)
 	p.buildPrograms(conds)
 	p.markUsedColumns(conds)
 	p.buildFootprintBitmaps()
@@ -442,7 +441,7 @@ func (p *Plan) compileAliases(db *relational.Database, shared *IndexPool) error 
 			table:         p.q.Tables[i],
 			schema:        t.Schema,
 			baseTableRows: t.Rows,
-			indexes:       make(map[int]map[string][]int32),
+			indexes:       make(map[int]map[uint64][]int32),
 			usedCols:      make([]bool, len(t.Schema.Cols)),
 		}
 		for _, pr := range perAlias[al] {
@@ -526,22 +525,21 @@ func buildFilteredScan(tableRows [][]relational.Value, ca *compiledAlias) ([][]r
 // shared pool: one pushed-down predicate is resolved against a pooled
 // (table, column) structure — built once, shared by every compile on that
 // column — and only the candidate window is checked against the remaining
-// predicates. String equalities use the bare-scan hash index (exact:
-// canonical encodings equate strings iff Predicate.Matches does, and NULL
-// is absent from both). Ranges and numeric equalities use the pooled
-// sorted order, whose Value.Compare ordering is the same relation every
-// range operator is defined by, for every kind. Predicates no pooled
-// structure captures fall back to the full predicate scan.
+// predicates. String equalities use the bare-scan hash index, whose
+// posting list may also hold colliding keys, so that window re-checks its
+// own predicate too. Ranges and numeric equalities use the pooled sorted
+// order, whose Value.Compare ordering is the same relation every range
+// operator is defined by, for every kind: that window is exact. Predicates
+// no pooled structure captures fall back to the full predicate scan.
 func buildFilteredScanIndexed(tableRows [][]relational.Value, ca *compiledAlias, shared *IndexPool) ([][]relational.Value, []int32) {
 	for pi, pa := range ca.preds {
 		var cand []int32
-		inRowOrder := false
+		inRowOrder, exact := false, true
 		switch pr := pa.pred; {
 		case pr.Op == relational.OpEq && pr.Val.K == relational.KindString:
 			idx := shared.get(ca.table, pa.col, tableRows)
-			var kb [64]byte
-			cand = idx[string(pr.Val.AppendEncode(kb[:0]))] // postings are ascending
-			inRowOrder = true
+			cand = idx[keyHash(pr.Val)] // postings are ascending
+			inRowOrder, exact = true, false
 		case pr.Op == relational.OpEq, pr.Op == relational.OpLt, pr.Op == relational.OpLe,
 			pr.Op == relational.OpGt, pr.Op == relational.OpGe, pr.Op == relational.OpBetween:
 			order := shared.getSorted(ca.table, pa.col, tableRows)
@@ -580,7 +578,7 @@ func buildFilteredScanIndexed(tableRows [][]relational.Value, ca *compiledAlias,
 			row := tableRows[ri]
 			ok := true
 			for pj, pb := range ca.preds {
-				if pj != pi && !pb.pred.Matches(row[pb.col]) {
+				if (pj != pi || !exact) && !pb.pred.Matches(row[pb.col]) {
 					ok = false
 					break
 				}
@@ -753,19 +751,25 @@ func (p *Plan) normalizeJoins() ([]joinAt, error) {
 	return out, nil
 }
 
-// buildIndexes hashes every join column of every alias over its filtered
-// scan, pulling bare-scan indexes from the shared pool when available.
-func (p *Plan) buildIndexes(conds []joinAt, shared *IndexPool) {
+// buildIndexes hashes every join column of every alias over its scan.
+// With a pool for db, every scan came from the pool (compileAliases) and
+// so does its index: per (table, column) for a bare scan, per (table,
+// predicates, column) for a filtered one.
+func (p *Plan) buildIndexes(conds []joinAt, db *relational.Database, shared *IndexPool) {
+	pooled := shared != nil && shared.db == db
 	add := func(alias, col int) {
 		ca := p.aliases[alias]
 		if _, ok := ca.indexes[col]; ok {
 			return
 		}
-		if ca.bare && shared != nil {
+		switch {
+		case pooled && ca.bare:
 			ca.indexes[col] = shared.get(ca.table, col, ca.rows)
-			return
+		case pooled:
+			ca.indexes[col] = shared.getScanIndex(ca.table, predsKey(ca.preds), col, ca.rows)
+		default:
+			ca.indexes[col] = hashRows(ca.rows, col)
 		}
-		ca.indexes[col] = hashRows(ca.rows, col)
 	}
 	for _, jc := range conds {
 		if jc.coercing {
@@ -922,9 +926,20 @@ func (p *Plan) buildBaseState() {
 			}
 		}
 	}
-	prog := p.programs[0]
-	for _, row := range p.aliases[0].rows {
-		r.tuple[0] = row
+	// Start from the smallest scan: every program checks each join
+	// condition exactly once, so any start alias enumerates the same tuple
+	// multiset, and every accumulator above ignores order (hash sums and
+	// xors, multiplicity counts, group counts, value multisets, canonical
+	// extrema with the encoding tie-break).
+	start := 0
+	for ai, ca := range p.aliases {
+		if len(ca.rows) < len(p.aliases[start].rows) {
+			start = ai
+		}
+	}
+	prog := p.programs[start]
+	for _, row := range p.aliases[start].rows {
+		r.tuple[start] = row
 		r.step(prog, 0, +1)
 	}
 	switch p.mode {
@@ -1082,28 +1097,16 @@ func (p *Plan) groupKey(tuple [][]relational.Value, b []byte) []byte {
 	return b
 }
 
-// sameKey reports whether two values have identical canonical encodings —
-// the equality used by hash-join probes (NULL never matches).
-func sameKey(a, b relational.Value) bool {
-	if a.K != b.K || a.K == relational.KindNull {
-		return false
-	}
-	switch a.K {
-	case relational.KindInt:
-		return a.I == b.I
-	case relational.KindFloat:
-		x, y := a.F, b.F
-		if x == 0 {
-			x = 0 // normalize -0, as AppendEncode does
-		}
-		if y == 0 {
-			y = 0
-		}
-		return math.Float64bits(x) == math.Float64bits(y)
-	default:
-		return a.S == b.S
-	}
-}
+// keyHashMask narrows the join-index key hashes. It is all ones; collision
+// tests clear bits of it so distinct keys share a posting list and only
+// the SameKey confirmation tells them apart.
+var keyHashMask = ^uint64(0)
+
+// keyHash is the key of a join-index posting list: the value's canonical
+// encoding hash (relational.Value.KeyHash). A list may hold rows of
+// several colliding keys, so every lookup confirms each posting with
+// relational.SameKey.
+func keyHash(v relational.Value) uint64 { return v.KeyHash() & keyHashMask }
 
 // aliasPatch is a neighbor's effect on one alias's scan.
 type aliasPatch struct {

@@ -152,7 +152,6 @@ type runner struct {
 	tuple      [][]relational.Value
 	emit       func(sign int)
 	acc        *probeAcc
-	keyBuf     []byte
 }
 
 // emitTuple dispatches one enumerated tuple to the runner's sink.
@@ -174,19 +173,18 @@ func (r *runner) step(prog []probeStep, si, sign int) {
 	if v.IsNull() {
 		return // NULL join keys never match, as in Eval
 	}
-	r.keyBuf = v.AppendEncode(r.keyBuf[:0])
 	ca := r.p.aliases[st.target]
 	newVersion := st.target < r.deltaAlias
 	var patch *aliasPatch
 	if newVersion && r.patches != nil {
 		patch = r.patches.byAlias[st.target]
 	}
-	for _, pos := range ca.indexes[st.probeCol][string(r.keyBuf)] {
+	for _, pos := range ca.indexes[st.probeCol][keyHash(v)] {
 		if patch != nil && patch.isRemoved(pos) {
 			continue
 		}
 		row := ca.rows[pos]
-		if !extrasPass(row, st.extras, r.tuple) {
+		if !relational.SameKey(row[st.probeCol], v) || !extrasPass(row, st.extras, r.tuple) {
 			continue
 		}
 		r.tuple[st.target] = row
@@ -194,7 +192,7 @@ func (r *runner) step(prog []probeStep, si, sign int) {
 	}
 	if patch != nil {
 		for _, arow := range patch.added {
-			if !sameKey(arow[st.probeCol], v) {
+			if !relational.SameKey(arow[st.probeCol], v) {
 				continue
 			}
 			if !extrasPass(arow, st.extras, r.tuple) {
@@ -213,7 +211,7 @@ func extrasPass(candidate []relational.Value, extras []extraEq, tuple [][]relati
 			if !candidate[e.targetCol].Equal(tuple[e.fromAlias][e.fromCol]) {
 				return false
 			}
-		} else if !sameKey(candidate[e.targetCol], tuple[e.fromAlias][e.fromCol]) {
+		} else if !relational.SameKey(candidate[e.targetCol], tuple[e.fromAlias][e.fromCol]) {
 			return false
 		}
 	}
@@ -741,13 +739,13 @@ func decideExtremum(base *groupState, ai int, rem, add []relational.Value, dir i
 		if dir < 0 && c < 0 || dir > 0 && c > 0 {
 			return Changed
 		}
-		if c == 0 && !sameKey(v, ext) && relational.EncodingLess(v, ext) {
+		if c == 0 && !relational.SameKey(v, ext) && relational.EncodingLess(v, ext) {
 			return Changed // new canonical representative of the tie class
 		}
 	}
 	remExt := 0
 	for _, v := range rem {
-		if !ext.IsNull() && v.Compare(ext) == 0 && sameKey(v, ext) {
+		if !ext.IsNull() && v.Compare(ext) == 0 && relational.SameKey(v, ext) {
 			remExt++
 		}
 	}

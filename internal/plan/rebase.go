@@ -359,7 +359,7 @@ func rebaseAgg(a relational.Agg, star bool, ob *aggBase, removed, added []relati
 // extremum is unknown without the full multiset.
 func rebaseExtremum(ext relational.Value, extN int, rem, add []relational.Value, dir int) (relational.Value, int, bool) {
 	for _, v := range rem {
-		if !ext.IsNull() && v.Compare(ext) == 0 && sameKey(v, ext) {
+		if !ext.IsNull() && v.Compare(ext) == 0 && relational.SameKey(v, ext) {
 			extN--
 		}
 	}
@@ -375,7 +375,7 @@ func rebaseExtremum(ext relational.Value, extN int, rem, add []relational.Value,
 		switch {
 		case dir < 0 && c < 0 || dir > 0 && c > 0:
 			ext, extN = v, 1
-		case c == 0 && sameKey(v, ext):
+		case c == 0 && relational.SameKey(v, ext):
 			extN++
 		case c == 0 && relational.EncodingLess(v, ext):
 			ext, extN = v, 1 // new canonical representative of the tie class
@@ -560,7 +560,7 @@ func rebaseBareAlias(ca *compiledAlias, nt *relational.Table, newDB *relational.
 	nca := *ca
 	nca.baseTableRows = nt.Rows
 	nca.rows = nt.Rows
-	nca.indexes = make(map[int]map[string][]int32, len(ca.indexes))
+	nca.indexes = make(map[int]map[uint64][]int32, len(ca.indexes))
 	for col := range ca.indexes {
 		if shared != nil && shared.db == newDB {
 			nca.indexes[col] = shared.get(ca.table, col, nt.Rows)
@@ -589,7 +589,7 @@ func rebuildFilteredAlias(ca *compiledAlias, nt *relational.Table) *compiledAlia
 			nca.rows = append(nca.rows, row)
 		}
 	}
-	nca.indexes = make(map[int]map[string][]int32, len(ca.indexes))
+	nca.indexes = make(map[int]map[uint64][]int32, len(ca.indexes))
 	for col := range ca.indexes {
 		nca.indexes[col] = hashRows(nca.rows, col)
 	}
@@ -617,18 +617,17 @@ func patchFilteredAlias(ca *compiledAlias, nt *relational.Table, swaps []rowSwap
 	nca.baseTableRows = nt.Rows
 	nca.rows = make([][]relational.Value, len(ca.rows), len(ca.rows)+len(appends))
 	copy(nca.rows, ca.rows)
-	nca.indexes = make(map[int]map[string][]int32, len(ca.indexes))
+	nca.indexes = make(map[int]map[uint64][]int32, len(ca.indexes))
 	for col, idx := range ca.indexes {
 		nca.indexes[col] = idx // shared until a swap or append touches it
 	}
 	cloned := make(map[int]bool, len(ca.indexes))
-	var oldKey, newKey []byte
 	for _, sw := range swaps {
 		newRow := nt.Rows[sw.row]
 		nca.rows[sw.pos] = newRow
 		for col := range ca.indexes {
 			ov, nv := sw.oldRow[col], newRow[col]
-			if ov.IsNull() && nv.IsNull() || !ov.IsNull() && !nv.IsNull() && sameKey(ov, nv) {
+			if ov.IsNull() && nv.IsNull() || relational.SameKey(ov, nv) {
 				continue // key unchanged: postings stay valid
 			}
 			if !cloned[col] {
@@ -637,12 +636,10 @@ func patchFilteredAlias(ca *compiledAlias, nt *relational.Table, swaps []rowSwap
 			}
 			idx := nca.indexes[col]
 			if !ov.IsNull() {
-				oldKey = ov.AppendEncode(oldKey[:0])
-				removePosting(idx, string(oldKey), sw.pos)
+				removePosting(idx, keyHash(ov), sw.pos)
 			}
 			if !nv.IsNull() {
-				newKey = nv.AppendEncode(newKey[:0])
-				insertPosting(idx, string(newKey), sw.pos)
+				insertPosting(idx, keyHash(nv), sw.pos)
 			}
 		}
 	}
@@ -666,8 +663,7 @@ func patchFilteredAlias(ca *compiledAlias, nt *relational.Table, swaps []rowSwap
 					nca.indexes[col] = cloneIndex(nca.indexes[col])
 					cloned[col] = true
 				}
-				newKey = v.AppendEncode(newKey[:0])
-				insertPosting(nca.indexes[col], string(newKey), pos)
+				insertPosting(nca.indexes[col], keyHash(v), pos)
 			}
 		}
 	}
@@ -676,18 +672,19 @@ func patchFilteredAlias(ca *compiledAlias, nt *relational.Table, swaps []rowSwap
 
 // cloneIndex shallow-copies a join index map; posting slices stay shared
 // until removePosting/insertPosting replace them.
-func cloneIndex(idx map[string][]int32) map[string][]int32 {
-	out := make(map[string][]int32, len(idx))
+func cloneIndex(idx map[uint64][]int32) map[uint64][]int32 {
+	out := make(map[uint64][]int32, len(idx))
 	for k, v := range idx {
 		out[k] = v
 	}
 	return out
 }
 
-// removePosting deletes one position from a key's posting list on a fresh
-// slice (the original may be shared with the predecessor plan), dropping
-// the key when the list empties.
-func removePosting(idx map[string][]int32, key string, pos int32) {
+// removePosting deletes one position from a key hash's posting list on a
+// fresh slice (the original may be shared with the predecessor plan),
+// dropping the hash when the list empties. Positions are unique within an
+// index, so a list shared by colliding keys loses exactly this row.
+func removePosting(idx map[uint64][]int32, key uint64, pos int32) {
 	lst := idx[key]
 	i := sort.Search(len(lst), func(i int) bool { return lst[i] >= pos })
 	if i >= len(lst) || lst[i] != pos {
@@ -703,9 +700,9 @@ func removePosting(idx map[string][]int32, key string, pos int32) {
 	idx[key] = out
 }
 
-// insertPosting adds one position to a key's posting list, preserving
+// insertPosting adds one position to a key hash's posting list, preserving
 // ascending order, on a fresh slice.
-func insertPosting(idx map[string][]int32, key string, pos int32) {
+func insertPosting(idx map[uint64][]int32, key uint64, pos int32) {
 	lst := idx[key]
 	i := sort.Search(len(lst), func(i int) bool { return lst[i] >= pos })
 	if i < len(lst) && lst[i] == pos {

@@ -8,7 +8,7 @@ package relational
 // intermediates dominated allocation by an order of magnitude, so Eval
 // now draws them from a pooled evalScratch: tuple storage comes from a
 // block arena, the scan and join-output row slices ping-pong between two
-// reusable buffers, and the join hash reuses one exact-key map plus one
+// reusable buffers, and the join hash reuses one key-hash map plus one
 // postings slab, presized by a counting pass so nothing grows by
 // doubling. Results never alias the scratch — every output row is built
 // fresh — so the scratch is recycled as soon as Eval returns.
@@ -53,9 +53,14 @@ func (a *valArena) alloc(n int) []Value {
 // reset rewinds the arena, keeping every block for reuse.
 func (a *valArena) reset() { a.bi, a.off = 0, 0 }
 
-// joinBucket is one key's posting list in the scratch join hash: rows is
-// carved from the shared postings slab, exactly sized by the counting
-// pass.
+// joinKeyMask narrows Eval's join-key hashes. It is all ones; collision
+// tests clear bits of it so distinct keys share a bucket and only the
+// SameKey confirmation tells them apart.
+var joinKeyMask = ^uint64(0)
+
+// joinBucket is one key hash's posting list in the scratch join hash: the
+// rows whose join keys hash alike, in scan order, carved from the shared
+// postings slab and exactly sized by the counting pass.
 type joinBucket struct {
 	rows [][]Value
 	n    int32 // row count from the first pass; len(rows) after the fill
@@ -67,10 +72,10 @@ type evalScratch struct {
 	bufA    [][]Value        // ping-pong buffers: the running join result
 	bufB    [][]Value        //   and the one being built from it
 	scan    [][]Value        // filtered scan of the table being joined in
-	hash    map[string]int32 // join key -> bucket index; reused, cleared per join
+	hash    map[uint64]int32 // join key hash -> bucket index; reused, cleared per join
 	buckets []joinBucket
 	posts   [][]Value // postings slab carved into bucket.rows
-	keyBuf  []byte
+	slot    []int32   // per scanned row: its bucket index, -1 for a NULL key
 }
 
 // release drops the row references the scratch accumulated (so pooled
@@ -89,12 +94,12 @@ func (s *evalScratch) release() {
 		b[i] = joinBucket{}
 	}
 	s.bufA, s.bufB, s.scan = s.bufA[:0], s.bufB[:0], s.scan[:0]
-	s.posts, s.buckets = s.posts[:0], s.buckets[:0]
+	s.posts, s.buckets, s.slot = s.posts[:0], s.buckets[:0], s.slot[:0]
 	evalScratchPool.Put(s)
 }
 
 var evalScratchPool = sync.Pool{
 	New: func() any {
-		return &evalScratch{hash: make(map[string]int32)}
+		return &evalScratch{hash: make(map[uint64]int32)}
 	},
 }

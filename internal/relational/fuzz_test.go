@@ -9,6 +9,9 @@ package relational
 // smoke on top of the checked-in corpus (see .github/workflows).
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"testing"
 )
 
@@ -179,5 +182,149 @@ func FuzzApplyDML(f *testing.F) {
 			}
 		}
 		assertSameDatabase(t, next, ref)
+	})
+}
+
+// decodeJoinQuery maps bytes onto two or three small tables of mixed-kind
+// cells (T0, T1, T2; columns A and B) and a left-deep equi-join over them:
+// each later table joins an earlier one on a hash condition and, when the
+// bytes ask, a residual condition on the other columns. Values come from
+// a small domain — NULL, Int 0–2, Float 0–2, -0.0, "a", "b" — so joins,
+// cross-kind near-misses and NULL keys are all common.
+func decodeJoinQuery(data []byte) (*Database, *SelectQuery) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	val := func(b byte) Value {
+		n := int64(b/7) % 3
+		switch b % 7 {
+		case 0:
+			return Null()
+		case 1, 2:
+			return Int(n)
+		case 3:
+			return Float(float64(n))
+		case 4:
+			return Float(math.Copysign(0, -1))
+		case 5:
+			return Float(float64(n) + 0.5)
+		default:
+			return Str(string(rune('a' + n%2)))
+		}
+	}
+	cols := []string{"A", "B"}
+	db := NewDatabase()
+	k := 2 + int(next()%2)
+	names := make([]string, k)
+	for i := range names {
+		names[i] = fmt.Sprintf("T%d", i)
+		t := NewTable(NewSchema(names[i], Column{"A", KindInt}, Column{"B", KindInt}))
+		for r := int(next() % 7); r > 0; r-- {
+			t.Append(val(next()), val(next()))
+		}
+		db.AddTable(t)
+	}
+	q := &SelectQuery{Name: "fuzz-join", Tables: names}
+	for i := 1; i < k; i++ {
+		b := next()
+		other := names[int(b>>4)%i]
+		hc := int(b) % 2
+		jc := JoinCond{Left: ColRef{names[i], cols[hc]}, Right: ColRef{other, cols[(b>>1)%2]}}
+		if b&0x04 != 0 {
+			jc.Left, jc.Right = jc.Right, jc.Left // Eval normalizes either side
+		}
+		q.Joins = append(q.Joins, jc)
+		if b&0x08 != 0 {
+			q.Joins = append(q.Joins, JoinCond{Left: ColRef{names[i], cols[1-hc]}, Right: ColRef{names[int(b>>6)%i], cols[(b>>2)%2]}})
+		}
+	}
+	return db, q
+}
+
+// nestedLoopJoin is the reference Eval's hash join must reproduce: it
+// binds the tables in declaration order, and for each running tuple (in
+// order) scans the next table's rows (in slot order). As in Eval, the
+// first condition linking a table to the earlier ones is the hash
+// condition — identical, non-NULL canonical encodings — and the others
+// are residuals checked with coercing Equal.
+func nestedLoopJoin(db *Database, q *SelectQuery) [][]Value {
+	offset := map[string]int{}
+	width := 0
+	var tuples [][]Value
+	for i, name := range q.Tables {
+		t := db.Table(name)
+		type cond struct{ newCol, oldIdx int }
+		var conds []cond
+		for _, jc := range q.Joins {
+			l, r := jc.Left, jc.Right
+			if r.Table == name {
+				l, r = r, l
+			}
+			off, seen := offset[r.Table]
+			if l.Table != name || !seen {
+				continue
+			}
+			conds = append(conds, cond{t.Schema.ColIndex(l.Col), off + db.Table(r.Table).Schema.ColIndex(r.Col)})
+		}
+		offset[name] = width
+		width += len(t.Schema.Cols)
+		if i == 0 {
+			for _, row := range t.Rows {
+				tuples = append(tuples, append([]Value(nil), row...))
+			}
+			continue
+		}
+		var next [][]Value
+		for _, tup := range tuples {
+			for _, row := range t.Rows {
+				hv, pv := row[conds[0].newCol], tup[conds[0].oldIdx]
+				if hv.IsNull() || pv.IsNull() || !bytes.Equal(hv.AppendEncode(nil), pv.AppendEncode(nil)) {
+					continue
+				}
+				ok := true
+				for _, c := range conds[1:] {
+					if !row[c.newCol].Equal(tup[c.oldIdx]) {
+						ok = false
+						break
+					}
+				}
+				if ok {
+					next = append(next, append(append([]Value(nil), tup...), row...))
+				}
+			}
+		}
+		tuples = next
+	}
+	return tuples
+}
+
+// FuzzEvalJoinMatchesNestedLoop checks Eval's SELECT * over a decoded
+// join against the nested-loop reference, rows and order, with the join
+// hash at full width and with every key forced into one bucket.
+func FuzzEvalJoinMatchesNestedLoop(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 3, 1, 2, 3, 4, 5, 6, 3, 8, 9, 10, 11, 12, 13, 0})
+	f.Add([]byte{1, 4, 7, 14, 21, 28, 1, 8, 4, 7, 15, 22, 2, 9, 16, 3, 4, 5, 6, 0, 0x5c})
+	f.Add([]byte{1, 6, 1, 1, 3, 3, 4, 4, 0, 0, 6, 6, 8, 8, 6, 1, 3, 4, 0, 6, 8, 10, 3, 2, 2, 5, 5, 1, 0x0f, 0xc9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db, q := decodeJoinQuery(data)
+		want := nestedLoopJoin(db, q)
+		for _, m := range []uint64{^uint64(0), 0} {
+			old := joinKeyMask
+			joinKeyMask = m
+			r, err := q.Eval(db)
+			joinKeyMask = old
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			if !sameRows(r.Rows, want) {
+				t.Fatalf("mask %x, %s:\n Eval %v\n want %v", m, q, r.Rows, want)
+			}
+		}
 	})
 }

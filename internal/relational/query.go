@@ -483,29 +483,36 @@ func (q *SelectQuery) Eval(db *Database) (*Result, error) {
 		if buildCi < 0 {
 			return nil, fmt.Errorf("relational: query %q: unknown join column %q of %q", q.Name, conds[0].Left.Col, al)
 		}
-		// Exact-key hash build in two passes over the scratch: count rows
-		// per key (allocating each key string once), carve every posting
-		// list from one exactly-sized slab, then fill. Bucket fill order is
-		// scan order, so join enumeration order — and therefore projection
-		// output and LIMIT semantics — is identical to the naive build.
+		// Hash build in two passes over the scratch: count rows per key
+		// hash, carve every posting list from one exactly-sized slab, then
+		// fill. A bucket holds every row whose key hashes alike, in scan
+		// order, and the probe confirms each with SameKey — so a collision
+		// costs a comparison, and join enumeration order (and therefore
+		// projection output and LIMIT semantics) is that of an exact-key
+		// build.
 		clear(s.hash)
 		s.buckets = s.buckets[:0]
-		keyBuf := s.keyBuf
+		slot := s.slot[:0]
 		nonNull := 0
 		for _, row := range scanned {
 			v := row[buildCi]
 			if v.IsNull() {
+				slot = append(slot, -1)
 				continue
 			}
 			nonNull++
-			keyBuf = v.AppendEncode(keyBuf[:0])
-			if bi, ok := s.hash[string(keyBuf)]; ok {
+			h := v.KeyHash() & joinKeyMask
+			bi, ok := s.hash[h]
+			if ok {
 				s.buckets[bi].n++
 			} else {
-				s.hash[string(keyBuf)] = int32(len(s.buckets))
+				bi = int32(len(s.buckets))
+				s.hash[h] = bi
 				s.buckets = append(s.buckets, joinBucket{n: 1})
 			}
+			slot = append(slot, bi)
 		}
+		s.slot = slot
 		if cap(s.posts) < nonNull {
 			s.posts = make([][]Value, nonNull)
 		}
@@ -516,14 +523,10 @@ func (q *SelectQuery) Eval(db *Database) (*Result, error) {
 			s.buckets[bi].rows = posts[off : off : off+n]
 			off += n
 		}
-		for _, row := range scanned {
-			v := row[buildCi]
-			if v.IsNull() {
-				continue
+		for ri, row := range scanned {
+			if bi := slot[ri]; bi >= 0 {
+				s.buckets[bi].rows = append(s.buckets[bi].rows, row)
 			}
-			keyBuf = v.AppendEncode(keyBuf[:0])
-			bi := s.hash[string(keyBuf)]
-			s.buckets[bi].rows = append(s.buckets[bi].rows, row)
 		}
 		type extraCond struct{ newCi, oldIdx int }
 		var extras []extraCond
@@ -548,12 +551,14 @@ func (q *SelectQuery) Eval(db *Database) (*Result, error) {
 			if v.IsNull() {
 				continue
 			}
-			keyBuf = v.AppendEncode(keyBuf[:0])
-			bi, ok := s.hash[string(keyBuf)]
+			bi, ok := s.hash[v.KeyHash()&joinKeyMask]
 			if !ok {
 				continue
 			}
 			for _, rrow := range s.buckets[bi].rows {
+				if !SameKey(rrow[buildCi], v) {
+					continue // a colliding key, not a match
+				}
 				ok := true
 				for _, ec := range extras {
 					if !rrow[ec.newCi].Equal(lrow[ec.oldIdx]) {
@@ -570,7 +575,6 @@ func (q *SelectQuery) Eval(db *Database) (*Result, error) {
 				next = append(next, combined)
 			}
 		}
-		s.keyBuf = keyBuf
 		if nextBuf == 0 {
 			s.bufA = next
 		} else {

@@ -143,6 +143,80 @@ func (v Value) String() string {
 	}
 }
 
+// SameKey reports whether two non-NULL values have identical canonical
+// encodings (AppendEncode) — the equality of a hash-join condition, under
+// which Int(1) and Float(1) differ, -0.0 equals 0.0, and NULL matches
+// nothing, not even NULL.
+func SameKey(a, b Value) bool {
+	if a.K != b.K || a.K == KindNull {
+		return false
+	}
+	switch a.K {
+	case KindInt:
+		return a.I == b.I
+	case KindFloat:
+		x, y := a.F, b.F
+		if x == 0 {
+			x = 0 // normalize -0, as AppendEncode does
+		}
+		if y == 0 {
+			y = 0
+		}
+		return math.Float64bits(x) == math.Float64bits(y)
+	default:
+		return a.S == b.S
+	}
+}
+
+// KeyHash returns a 64-bit hash of the value's canonical encoding without
+// materializing it: values SameKey equates hash equally. Distinct
+// encodings may collide, so every index keyed by KeyHash confirms a hit
+// with SameKey; a collision costs a comparison, never a wrong match.
+func (v Value) KeyHash() uint64 {
+	const (
+		kInt   = 0xa0761d6478bd642f
+		kFloat = 0xe7037ed1a0b428db
+		kStr   = 0x8ebc6af09c88c6e3
+	)
+	switch v.K {
+	case KindInt:
+		return hashMix(uint64(v.I)^kInt, kStr|1)
+	case KindFloat:
+		f := v.F
+		if f == 0 {
+			f = 0 // normalize -0, as AppendEncode does
+		}
+		return hashMix(math.Float64bits(f)^kFloat, kStr|1)
+	case KindString:
+		return hashString(v.S, kStr)
+	}
+	return 0 // NULL: never looked up, since NULL keys never join
+}
+
+// hashString is HashBytes over a string's bytes, seeded so string keys
+// and numeric keys draw from different hash families.
+func hashString(s string, seed uint64) uint64 {
+	const (
+		k0 = 0x9e3779b97f4a7c15
+		k1 = 0xff51afd7ed558ccd
+		k2 = 0xc4ceb9fe1a85ec53
+	)
+	h := seed ^ k0 ^ hashMix(uint64(len(s))+1, k1)
+	for ; len(s) >= 8; s = s[8:] {
+		w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+		h = hashMix(h^w, k2)
+	}
+	if len(s) > 0 {
+		var tail uint64
+		for i := 0; i < len(s); i++ {
+			tail |= uint64(s[i]) << (8 * uint(i))
+		}
+		h = hashMix(h^tail, k1)
+	}
+	return h
+}
+
 // AppendEncode appends a canonical, injective byte encoding of the value,
 // used for result fingerprints and group-by keys.
 func (v Value) AppendEncode(b []byte) []byte {

@@ -14,8 +14,9 @@
 //     combinations (Section 5), on top of a from-scratch bounded-variable
 //     simplex LP solver;
 //   - buyer-valuation generators for every model of Section 6;
-//   - revenue upper bounds (sum of valuations and the subadditive LP
-//     bound);
+//   - revenue bounds: the sum of valuations, an upper bound on any
+//     pricing's revenue, and the subadditive LP, which bounds only
+//     pricings that sell every bundle;
 //   - worst-case gap constructions of Lemmas 2-4;
 //   - a lock-free data-market broker that quotes and sells arbitrage-free
 //     prices for live queries under heavy concurrent traffic, over a
