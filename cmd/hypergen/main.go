@@ -1,21 +1,26 @@
 // Command hypergen builds the pricing hypergraph of a query workload and
 // prints its characteristics (the paper's Table 3) and hyperedge-size
 // histogram (Figure 4), plus construction statistics showing the effect of
-// conflict-set pruning.
+// conflict-set pruning. With -pruning-ablation it also rebuilds every
+// hypergraph without pruning or delta probing and exits 1 unless the two
+// builds agree edge by edge.
 //
 // Usage:
 //
 //	hypergen -workload skewed
 //	hypergen -workload all -support 2000 -scale 2
+//	hypergen -workload tpch -support 100 -pruning-ablation
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"querypricing/internal/experiments"
+	"querypricing/internal/hypergraph"
 	"querypricing/internal/support"
 )
 
@@ -26,7 +31,7 @@ func main() {
 		supportN = flag.Int("support", 0, "support size (0 = workload default)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		bins     = flag.Int("bins", 12, "histogram bins")
-		ablation = flag.Bool("pruning-ablation", false, "also build without pruning and compare times")
+		ablation = flag.Bool("pruning-ablation", false, "also build without pruning, compare times, and exit 1 unless both builds give the same edges")
 	)
 	flag.Parse()
 
@@ -54,14 +59,31 @@ func main() {
 
 		if *ablation {
 			start := time.Now()
-			_, nstats, err := support.BuildHypergraph(sc.Set, sc.Queries, support.BuildOptions{DisablePruning: true})
+			naive, nstats, err := support.BuildHypergraph(sc.Set, sc.Queries, support.BuildOptions{DisablePruning: true})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "hypergen: naive build: %v\n", err)
 				os.Exit(1)
 			}
 			fmt.Printf("pruning ablation: naive rebuild %v with %d evals (pruned build used %d)\n\n",
 				time.Since(start).Round(time.Millisecond), nstats.QueryEvals, sc.Stats.QueryEvals)
+			if i := firstDifference(sc.H, naive); i >= 0 {
+				fmt.Fprintf(os.Stderr, "hypergen: %s: pruned and naive builds differ at edge %d (%s): %v vs %v\n",
+					w, i, naive.Edge(i).Label, sc.H.Edge(i).Items, naive.Edge(i).Items)
+				os.Exit(1)
+			}
 		}
 	}
 	fmt.Println(experiments.FormatStatsTable(scs))
+}
+
+// firstDifference returns the index of the first edge whose items differ
+// between two hypergraphs built over the same queries (edge i is query i
+// in both), or -1 when every edge matches.
+func firstDifference(a, b *hypergraph.Hypergraph) int {
+	for i := range a.NumEdges() {
+		if !slices.Equal(a.Edge(i).Items, b.Edge(i).Items) {
+			return i
+		}
+	}
+	return -1
 }

@@ -15,8 +15,8 @@ import (
 // maps of the aggregate decisions — so a probe that runs through an arena
 // performs near-zero heap allocation once the arena has warmed up.
 //
-// Arenas are NOT safe for concurrent use: each worker (a support-set
-// shard's quote scratch, a hypergraph-builder worker) owns one. Callers
+// Arenas are NOT safe for concurrent use: each owner (an entry of a
+// support-set shard's pooled probe scratch) holds one at a time. Callers
 // without a worker identity use the package's internal arena pool through
 // Plan.ProbeDelta. All scratch is dead the moment a probe returns; the next
 // probe through the same arena reclaims it wholesale.

@@ -7,22 +7,24 @@ package support
 //
 //   - its slice of the neighbors (as ascending global indices),
 //   - an inverted footprint index mapping (table, column) to the local
-//     neighbors whose deltas touch that column — the online dual of the
-//     builder's query-side footprint index: one merge over a query's
-//     footprint yields the shard's full rule-1 candidate set, so a quote
-//     never visits the (typically vast) majority of neighbors footprint
-//     pruning discards, and
+//     neighbors whose deltas touch that column — the package's one rule-1
+//     index: one merge over a query's footprint yields the shard's full
+//     rule-1 candidate set, so neither a quote nor a BuildHypergraph job
+//     visits the (typically vast) majority of neighbors footprint pruning
+//     discards, and
 //   - a compiled-plan cache. Plans are homed on one shard per query key,
 //     so concurrent quote traffic spreads across per-shard cache locks;
 //     every cache shares one bare-scan index pool (plan.IndexPool), and
 //   - a pooled per-quote scratch (candidate marks plus a plan.Arena), so
 //     a warm quote against the shard is allocation-free.
 //
-// The online path (ConflictSet) fans a single query out across shards,
-// each shard emitting the ascending global indices of its conflicting
-// neighbors; one sort merges the disjoint per-shard lists into the final
-// ascending conflict set. Results are byte-identical to an unsharded,
-// full-scan computation at every K.
+// One function (shard.conflicts) computes a query's conflicts on a shard,
+// emitting the ascending global indices of its conflicting neighbors. The
+// online path (ConflictSet) fans a single query out across shards and one
+// sort merges the disjoint per-shard lists into the final ascending
+// conflict set; BuildHypergraph calls it for every query of each shard ×
+// query-tile job. Results are byte-identical to an unsharded, full-scan
+// computation at every K.
 //
 // This in-process layout is also the seam a multi-process distribution
 // would cut along: each shard's state (neighbors, plan cache, footprint
@@ -189,8 +191,9 @@ func (sh *shard) candidates(p *plan.Plan, sc *shardScratch) []int32 {
 // conflicts computes the shard's portion of CS(q, D), appending the global
 // indices of conflicting neighbors to out in ascending order (shard-local
 // ids ascend and the shard's global slice is ascending, so the scan emits
-// sorted output for free). All probe scratch comes from the shard's pooled
-// arena, so a warm call allocates only when out grows.
+// sorted output for free). BuildHypergraph and ConflictSet both compute
+// every (query, shard) conflict list here. All probe scratch comes from
+// the shard's pooled arena, so a warm call allocates only when out grows.
 func (sh *shard) conflicts(s *Set, p *plan.Plan, st *Stats, out []int) ([]int, error) {
 	sc, _ := sh.scratch.Get().(*shardScratch)
 	if sc == nil {
@@ -199,11 +202,10 @@ func (sh *shard) conflicts(s *Set, p *plan.Plan, st *Stats, out []int) ([]int, e
 	defer sh.scratch.Put(sc)
 	cand := sh.candidates(p, sc)
 	st.PrunedByCols += len(sh.global) - len(cand)
-	var view *relational.Database
 	for _, li := range cand {
 		nb := &s.Neighbors[sh.global[li]]
-		view = nil // overlay views are per neighbor
-		conflict, err := decidePair(s, p, nb, BuildOptions{}, true, &view, sc.arena, st)
+		var view *relational.Database // overlay views are per neighbor
+		conflict, err := decidePair(s, p, nb, BuildOptions{}, &view, sc.arena, st)
 		if err != nil {
 			return nil, fmt.Errorf("%w (neighbor %d)", err, sh.global[li])
 		}
@@ -231,7 +233,7 @@ func (sh *shard) conflicts(s *Set, p *plan.Plan, st *Stats, out []int) ([]int, e
 // every shard count.
 func ConflictSet(set *Set, q *relational.SelectQuery) ([]int, error) {
 	shards := set.ensureShards()
-	p, _, err := set.planForKeyed(set.keyFor(q), q)
+	p, _, err := set.PlanFor(q)
 	if err != nil {
 		return nil, err
 	}

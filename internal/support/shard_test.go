@@ -3,8 +3,8 @@ package support_test
 // Sharded-vs-unsharded equivalence: partitioning a support set into K
 // shards must never change a conflict set, for any K, on any workload —
 // both through the batch builder (shard × query-tile scheduling) and the
-// online per-query path (per-shard bitsets merged). These tests randomize
-// seeds and delta widths and run under -race in CI.
+// online per-query path (per-shard ascending lists merged with one sort).
+// These tests randomize seeds and delta widths and run under -race in CI.
 
 import (
 	"runtime"
@@ -44,7 +44,7 @@ func generateSharded(t *testing.T, db *relational.Database, size int, seed int64
 // TestShardedMatchesUnsharded is the central equivalence property of the
 // sharded engine: across all four workloads, random seeds and neighbor
 // delta widths, hypergraphs built over K shards are byte-identical to the
-// single-shard build for every tested K.
+// single-shard build for every tested K, and so are the build Stats.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	for _, w := range equivalenceWorkloads {
 		w := w
@@ -56,9 +56,14 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 				deltas int
 			}{{41, 1}, {42, 2}} {
 				base := generateSharded(t, db, 50, cfg.seed, cfg.deltas, 1)
-				want, _, err := support.BuildHypergraph(base, qs, support.BuildOptions{})
+				want, wantStats, err := support.BuildHypergraph(base, qs, support.BuildOptions{})
 				if err != nil {
 					t.Fatal(err)
+				}
+				// Every pair is counted exactly once: pruned by rule 1 or
+				// 2, decided by a probe, or punted to a fallback.
+				if got, pairs := wantStats.PrunedByCols+wantStats.PrunedByPred+wantStats.DeltaProbes+wantStats.Fallbacks, len(qs)*base.Size(); got != pairs {
+					t.Fatalf("%s seed %d: Stats %+v account for %d pairs, want %d", w, cfg.seed, *wantStats, got, pairs)
 				}
 				for _, k := range shardCounts() {
 					if k == 1 {
@@ -68,11 +73,14 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 					if got := set.NumShards(); got != k {
 						t.Fatalf("NumShards = %d, want %d", got, k)
 					}
-					h, _, err := support.BuildHypergraph(set, qs, support.BuildOptions{})
+					h, st, err := support.BuildHypergraph(set, qs, support.BuildOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
 					assertSameHypergraph(t, w, qs, h, want)
+					if *st != *wantStats {
+						t.Fatalf("%s seed %d K=%d: Stats %+v, want the single-shard %+v", w, cfg.seed, k, *st, *wantStats)
+					}
 				}
 			}
 		})
@@ -80,7 +88,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 }
 
 // TestShardedConflictSetMatchesUnsharded pins the online path: for every
-// query and every shard count, the merged per-shard conflict bitsets
+// query and every shard count, the merged per-shard conflict lists
 // equal the single-shard conflict set (and the batch builder's edge).
 func TestShardedConflictSetMatchesUnsharded(t *testing.T) {
 	db, qs := equivalenceScenario(t, "ssb")

@@ -25,23 +25,23 @@
 //
 // The neighbors of a Set are partitioned into shards (shard.go), each
 // owning its own plan cache, an inverted footprint index over its
-// neighbors' deltas, and a pooled quote scratch (a plan.Arena), so warm
-// quotes are allocation-free. BuildHypergraph schedules shard × query
-// tiles over a bounded worker pool (one arena per worker), and the online
-// ConflictSet path fans a single query out across shards, merging the
-// per-shard sorted conflict lists. Nothing in this package mutates the
-// base database, so any number of goroutines may compute conflict sets
-// over the same Set concurrently, and results are byte-identical at every
-// shard count.
+// neighbors' deltas, and a pooled probe scratch (a plan.Arena), so warm
+// probes allocate nothing. A query's conflicts on one shard are computed
+// one way for every caller: rule 1 from the shard's footprint index, then
+// one delta probe per surviving neighbor. BuildHypergraph schedules shard
+// × query tiles of that computation over a bounded worker pool, and the
+// online ConflictSet path fans a single query out across shards, merging
+// the per-shard ascending lists with one sort. Nothing in this package
+// mutates the base database, so any number of goroutines may compute
+// conflict sets over the same Set concurrently, and results are
+// byte-identical at every shard count.
 package support
 
 import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"querypricing/internal/hypergraph"
 	"querypricing/internal/plan"
@@ -77,11 +77,6 @@ type Set struct {
 	shards  []*shard
 	pool    *plan.IndexPool
 	fanout  chan struct{} // bounds extra goroutines across concurrent quotes
-
-	// keyMemo caches plan.Key per query object (see keyFor); keyMemoN
-	// bounds it so ad-hoc query churn cannot grow the set without limit.
-	keyMemo  sync.Map // *relational.SelectQuery -> string
-	keyMemoN atomic.Int64
 }
 
 // Size returns n = |S|.
@@ -91,34 +86,11 @@ func (s *Set) Size() int { return len(s.Neighbors) }
 // first use). The boolean reports whether this call compiled the plan —
 // i.e. whether it paid the one-time base evaluation. Plans are owned by
 // the query's home shard, so concurrent quote traffic for different
-// queries spreads across per-shard cache locks.
+// queries spreads across per-shard cache locks. The plan is looked up by
+// the query's canonical text (plan.Key) on every call, so a query object
+// edited between calls is priced by what it says now.
 func (s *Set) PlanFor(q *relational.SelectQuery) (*plan.Plan, bool, error) {
-	return s.planForKeyed(s.keyFor(q), q)
-}
-
-// maxKeyMemo bounds the per-set query-key memo; past it, keys are simply
-// recomputed (correct, just slower).
-const maxKeyMemo = 1 << 12
-
-// keyFor returns plan.Key(q), memoized by query identity. Brokers quote
-// the same query objects repeatedly — a query is read-only once it has
-// been quoted, the same contract its cached plan already relies on — and
-// rebuilding the canonical query string otherwise dominates the fixed
-// cost of a warm quote.
-func (s *Set) keyFor(q *relational.SelectQuery) string {
-	if v, ok := s.keyMemo.Load(q); ok {
-		return v.(string)
-	}
-	k := plan.Key(q)
-	if s.keyMemoN.Load() < maxKeyMemo {
-		if _, loaded := s.keyMemo.LoadOrStore(q, k); !loaded {
-			s.keyMemoN.Add(1)
-		}
-	}
-	return k
-}
-
-func (s *Set) planForKeyed(key string, q *relational.SelectQuery) (*plan.Plan, bool, error) {
+	key := plan.Key(q)
 	shards := s.ensureShards()
 	sh := shards[homeShard(key, len(shards))]
 	return sh.planCache(s).GetKeyed(s.DB, key, q)
@@ -342,19 +314,18 @@ func (st *Stats) add(o Stats) {
 }
 
 // decidePair resolves one (plan, neighbor) pair, lazily materializing the
-// overlay view for fallbacks (the view is shared across a neighbor's
-// queries within one worker). When skipRule1 is set the caller has already
-// established — e.g. through the builder's inverted footprint index — that
-// some delta touches the plan's footprint. The arena supplies all probe
-// scratch; each worker owns one (nil borrows from the plan package's
-// pool).
-func decidePair(set *Set, p *plan.Plan, nb *Neighbor, opts BuildOptions, skipRule1 bool, view **relational.Database, arena *plan.Arena, st *Stats) (bool, error) {
+// overlay view for fallbacks (the caller decides how far a view is
+// shared). In the default mode the caller has already established rule 1
+// through a shard's inverted footprint index (shard.candidates); only the
+// DisableIncremental reference mode checks it per pair. The arena supplies
+// all probe scratch (nil borrows from the plan package's pool).
+func decidePair(set *Set, p *plan.Plan, nb *Neighbor, opts BuildOptions, view **relational.Database, arena *plan.Arena, st *Stats) (bool, error) {
 	if !opts.DisablePruning {
-		if !skipRule1 && !p.TouchesChanges(nb.Deltas) {
-			st.PrunedByCols++
-			return false, nil
-		}
 		if opts.DisableIncremental {
+			if !p.TouchesChanges(nb.Deltas) {
+				st.PrunedByCols++
+				return false, nil
+			}
 			if p.LocallyPruned(nb.Deltas) {
 				st.PrunedByPred++
 				return false, nil
@@ -389,59 +360,6 @@ func decidePair(set *Set, p *plan.Plan, nb *Neighbor, opts BuildOptions, skipRul
 	return res.Fingerprint() != p.BaseFingerprint(), nil
 }
 
-// footprintIndex inverts the plans' footprints: (table, column) -> the
-// query indices whose answers a change to that cell could affect. One merge
-// over a neighbor's deltas yields its full rule-1 candidate set, so the
-// builder never visits the (typically vast) majority of pairs footprint
-// pruning discards.
-type footprintIndex struct {
-	byCol   map[string][]int32 // "table\x00col" -> query indices, ascending
-	queries int
-}
-
-func buildFootprintIndex(db *relational.Database, plans []*plan.Plan) *footprintIndex {
-	idx := &footprintIndex{byCol: make(map[string][]int32), queries: len(plans)}
-	for qi, p := range plans {
-		for table, cols := range p.Footprint().Columns {
-			for col := range cols {
-				key := table + "\x00" + col
-				idx.byCol[key] = append(idx.byCol[key], int32(qi))
-			}
-		}
-	}
-	return idx
-}
-
-// candidates returns, in ascending order, the query indices in [lo, hi)
-// whose footprints the neighbor touches, using the caller's scratch mark
-// slice (left all-false on return).
-func (idx *footprintIndex) candidates(db *relational.Database, nb *Neighbor, lo, hi int32, marked []bool, out []int32) []int32 {
-	out = out[:0]
-	for _, d := range nb.Deltas {
-		t := db.Table(d.Table)
-		if t == nil || d.Col < 0 || d.Col >= len(t.Schema.Cols) {
-			continue
-		}
-		key := d.Table + "\x00" + t.Schema.Cols[d.Col].Name
-		lst := idx.byCol[key]
-		start := sort.Search(len(lst), func(i int) bool { return lst[i] >= lo })
-		for _, qi := range lst[start:] {
-			if qi >= hi {
-				break
-			}
-			if !marked[qi] {
-				marked[qi] = true
-				out = append(out, qi)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	for _, qi := range out {
-		marked[qi] = false
-	}
-	return out
-}
-
 // BuildHypergraph computes the conflict set of every query against the
 // support set and returns the pricing hypergraph: item j is neighbor j, and
 // edge i is CS(queries[i], D) with zero valuation (valuations are assigned
@@ -449,11 +367,13 @@ func (idx *footprintIndex) candidates(db *relational.Database, nb *Neighbor, lo,
 //
 // Construction is read-only and parallel: plans are compiled (or recalled
 // from the per-shard plan caches) concurrently, then shard × query-tile
-// jobs are scheduled over a bounded worker pool — each job probes one
-// shard's neighbors against one contiguous tile of candidate plans, so
-// large support sets parallelize across shards and large workloads across
-// tiles. The result is byte-identical to a serial, full-re-evaluation,
-// unsharded build.
+// jobs are scheduled over a bounded worker pool — each job computes one
+// shard's conflicts for every query of one contiguous tile with the quote
+// path's per-shard probe, so large support sets parallelize across shards
+// and large workloads across tiles. The result is byte-identical to a
+// serial, full-re-evaluation, unsharded build (the DisableIncremental and
+// DisablePruning reference modes, which decide every pair directly and
+// share no index with the default mode).
 func BuildHypergraph(set *Set, queries []*relational.SelectQuery, opts BuildOptions) (*hypergraph.Hypergraph, *Stats, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -515,30 +435,25 @@ func BuildHypergraph(set *Set, queries []*relational.SelectQuery, opts BuildOpti
 		return nil, nil, firstErr
 	}
 
-	// Phase 2: shard × query-tile jobs. Each job probes one shard's
-	// neighbors against the rule-1 candidate plans of one contiguous query
-	// tile; the query-side inverted footprint index discards
-	// non-candidates wholesale (with pruning disabled every plan in the
-	// tile is a candidate).
+	// Phase 2: shard × query-tile jobs. In the default mode a job runs the
+	// quote path (shard.conflicts) for every query of one contiguous tile
+	// against one shard, so rule 1 comes from the shard's inverted
+	// footprint index alone. The full-re-evaluation reference modes
+	// instead chunk each shard's neighbors with one query span and decide
+	// every pair directly, so every neighbor's copy-on-write overlay view
+	// is materialized at most once.
 	shards := set.ensureShards()
-	var fpIdx *footprintIndex
-	if !opts.DisablePruning {
-		fpIdx = buildFootprintIndex(set.DB, plans)
-	}
+	reference := opts.DisablePruning || opts.DisableIncremental
 	numQ := len(queries)
 	conflict := make([][]int, numQ)
 	if numQ > 0 {
 		// Aim for a few jobs per worker so shard and tile skew even out.
-		// The incremental engine tiles over queries (plan locality, cheap
-		// per-pair probes); the full-re-evaluation modes instead chunk
-		// each shard's neighbors with one query span, so every neighbor's
-		// copy-on-write overlay view is materialized at most once.
 		perShard := (workers*4 + len(shards) - 1) / len(shards)
 		if perShard < 1 {
 			perShard = 1
 		}
 		tiles, nChunks := 1, 1
-		if opts.DisablePruning || opts.DisableIncremental {
+		if reference {
 			nChunks = perShard
 		} else {
 			tiles = perShard
@@ -558,12 +473,7 @@ func BuildHypergraph(set *Set, queries []*relational.SelectQuery, opts BuildOpti
 			go func() {
 				defer wg.Done()
 				var local Stats
-				var marked []bool
-				var cand []int32
-				arena := plan.NewArena() // per-worker probe scratch
-				if fpIdx != nil {
-					marked = make([]bool, len(plans))
-				}
+				var items []int
 				stopped := func() bool {
 					mu.Lock()
 					defer mu.Unlock()
@@ -580,32 +490,32 @@ func BuildHypergraph(set *Set, queries []*relational.SelectQuery, opts BuildOpti
 					if hi > int32(numQ) {
 						hi = int32(numQ)
 					}
+					var out []pair
+					if !reference {
+						for qi := lo; qi < hi && !stopped(); qi++ {
+							var err error
+							items, err = sh.conflicts(set, plans[qi], &local, items[:0])
+							if err != nil {
+								fail(err)
+								break
+							}
+							for _, gi := range items {
+								out = append(out, pair{qi, int32(gi)})
+							}
+						}
+						results[j] = out
+						continue
+					}
 					nc := rest % nChunks
 					nbs := sh.global[len(sh.global)*nc/nChunks : len(sh.global)*(nc+1)/nChunks]
-					var out []pair
 					for _, gi := range nbs {
 						if stopped() {
 							break
 						}
 						nb := &set.Neighbors[gi]
 						var view *relational.Database
-						if fpIdx == nil {
-							for qi := lo; qi < hi; qi++ {
-								ok, err := decidePair(set, plans[qi], nb, opts, false, &view, arena, &local)
-								if err != nil {
-									fail(fmt.Errorf("%w (neighbor %d)", err, gi))
-									break
-								}
-								if ok {
-									out = append(out, pair{qi, gi})
-								}
-							}
-							continue
-						}
-						cand = fpIdx.candidates(set.DB, nb, lo, hi, marked, cand)
-						local.PrunedByCols += int(hi-lo) - len(cand)
-						for _, qi := range cand {
-							ok, err := decidePair(set, plans[qi], nb, opts, true, &view, arena, &local)
+						for qi := lo; qi < hi; qi++ {
+							ok, err := decidePair(set, plans[qi], nb, opts, &view, nil, &local)
 							if err != nil {
 								fail(fmt.Errorf("%w (neighbor %d)", err, gi))
 								break

@@ -1,6 +1,7 @@
 package support
 
 import (
+	"slices"
 	"testing"
 
 	"querypricing/internal/datagen"
@@ -334,5 +335,54 @@ func TestConflictSetLeavesBaseUntouched(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestConflictSetFollowsEditedQuery pins that a query object edited after
+// it was quoted is priced by what it says now: quoting Continent='Europe'
+// and then re-pointing the same object at 'Asia' must give Asia's conflict
+// set, not the plan compiled for Europe.
+func TestConflictSetFollowsEditedQuery(t *testing.T) {
+	db := smallWorld(t)
+	set, err := Generate(db, GenOptions{Size: 300, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byContinent := func(c string) *relational.SelectQuery {
+		return &relational.SelectQuery{
+			Name:   "by-continent",
+			Tables: []string{"Country"},
+			Where: []relational.Predicate{{
+				Col: relational.ColRef{Table: "Country", Col: "Continent"},
+				Op:  relational.OpEq,
+				Val: relational.Str(c),
+			}},
+		}
+	}
+	europe, err := ConflictSet(set, byContinent("Europe"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	asia, err := ConflictSet(set, byContinent("Asia"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(europe, asia) {
+		t.Fatalf("Europe and Asia share conflict set %v; the test cannot tell them apart", asia)
+	}
+
+	q := byContinent("Europe")
+	if got, err := ConflictSet(set, q); err != nil {
+		t.Fatal(err)
+	} else if !slices.Equal(got, europe) {
+		t.Fatalf("Europe: ConflictSet %v, want %v", got, europe)
+	}
+	q.Where[0].Val = relational.Str("Asia")
+	got, err := ConflictSet(set, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, asia) {
+		t.Fatalf("edited to Asia: ConflictSet %v, want Asia's %v (Europe's is %v)", got, asia, europe)
 	}
 }
