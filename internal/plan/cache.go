@@ -787,7 +787,8 @@ func (c *Cache) bindLocked(db *relational.Database) {
 
 // Get returns the cached plan for the query, compiling (and caching) it on
 // a miss. The second result reports whether a fresh compilation ran on this
-// call — callers use it to attribute the base evaluation Compile performs.
+// call — callers use it to count compilations, each of which enumerates
+// the query's base answer once.
 func (c *Cache) Get(db *relational.Database, q *relational.SelectQuery) (*Plan, bool, error) {
 	return c.GetKeyed(db, Key(q), q)
 }

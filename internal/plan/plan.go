@@ -250,13 +250,11 @@ type Plan struct {
 	// Fingerprint-maintenance state: baseFP decomposed into the header
 	// hash and the per-row hash aggregates CombineFingerprint mixes, so a
 	// Rebase can adjust them from the signed delta instead of re-running
-	// the query. fpMaintainable is false when the decomposition is not
-	// trusted (LIMIT/noProbe plans, or an aggregate plan whose recombined
-	// terms failed to reproduce Eval's fingerprint).
-	hdrHash        uint64
-	fpSum, fpXor   uint64
-	fpRows         int
-	fpMaintainable bool
+	// the query. Every plan that can probe carries it; LIMIT and noProbe
+	// plans leave it zero and are never rebased.
+	hdrHash      uint64
+	fpSum, fpXor uint64
+	fpRows       int
 
 	mode    evalMode
 	aliases []*compiledAlias
@@ -278,16 +276,18 @@ type Plan struct {
 // (or rebased) against.
 func (p *Plan) Version() uint64 { return p.dbVersion }
 
-// Compile builds the plan against the base database. Projection and
-// DISTINCT plans derive the base fingerprint from their own join
-// enumeration over the freshly built scans and indexes (the fingerprint is
-// order-insensitive, so the value is identical to hashing an Eval result);
-// aggregate and LIMIT plans evaluate the query once with Eval — whose
-// SUM/AVG accumulation is canonical (relational.CanonicalSum), so every
-// aggregate output is a pure function of its group's value multiset — and
-// aggregate plans additionally record the per-group state (extrema, value
-// multisets) the delta decisions replay against. The returned plan is
-// read-only and safe for concurrent probes.
+// Compile builds the plan against the base database. Every plan that can
+// probe derives its base fingerprint from one enumeration of the base join
+// over the freshly built scans and indexes: projection rows, DISTINCT
+// multiplicities, or the per-group aggregate state (extrema, value
+// multisets) the delta decisions replay against, each hashed as Eval's
+// result encodes it (the fingerprint is order-insensitive, and SUM/AVG
+// accumulate canonically — relational.CanonicalSum — so every aggregate
+// output is a pure function of its group's value multiset). Only LIMIT
+// plans and plans over a disconnected join graph evaluate the query with
+// Eval. The plan keeps its own copy of q, so editing q afterwards never
+// reaches it. The returned plan is read-only and safe for concurrent
+// probes.
 func Compile(db *relational.Database, q *relational.SelectQuery) (*Plan, error) {
 	return compile(db, q, nil)
 }
@@ -296,6 +296,7 @@ func compile(db *relational.Database, q *relational.SelectQuery, shared *IndexPo
 	if len(q.Tables) == 0 {
 		return nil, fmt.Errorf("plan: query %q has no tables", q.Name)
 	}
+	q = q.Clone()
 	fp, err := q.Footprint(db)
 	if err != nil {
 		return nil, err
@@ -334,19 +335,15 @@ func compile(db *relational.Database, q *relational.SelectQuery, shared *IndexPo
 	p.markUsedColumns(conds)
 	p.buildFootprintBitmaps()
 
-	if p.noProbe || p.mode == modeFullOnly || p.mode == modeAggregate {
+	if p.noProbe || p.mode == modeFullOnly {
 		base, err := q.Eval(db)
 		if err != nil {
 			return nil, err
 		}
 		p.baseFP = base.Fingerprint()
-		if p.mode == modeAggregate && !p.noProbe {
-			p.hdrHash = relational.HeaderHash(base.Cols)
-			p.buildBaseState()
-		}
 		return p, nil
 	}
-	p.buildBaseState() // also computes baseFP for projection/distinct
+	p.buildBaseState()
 	return p, nil
 }
 
@@ -869,9 +866,10 @@ func (p *Plan) markUsedColumns(conds []joinAt) {
 }
 
 // buildBaseState enumerates the base join once, recording what each mode
-// needs: the projected-row fingerprint terms (projection), the multiplicity
-// map plus fingerprint terms (DISTINCT), or per-group aggregate state
-// (aggregates, whose base fingerprint comes from Eval instead).
+// needs — the projected rows (projection), the multiplicity map
+// (DISTINCT) or the per-group aggregate state — and derives from it the
+// fingerprint terms and the base fingerprint: one hash per output row,
+// encoded exactly as Eval's result encodes it.
 func (p *Plan) buildBaseState() {
 	switch p.mode {
 	case modeDistinct:
@@ -943,11 +941,6 @@ func (p *Plan) buildBaseState() {
 		r.step(prog, 0, +1)
 	}
 	switch p.mode {
-	case modeProjection:
-		p.hdrHash = p.headerHash()
-		p.fpSum, p.fpXor, p.fpRows = sum, xor, rows
-		p.fpMaintainable = true
-		p.baseFP = relational.CombineFingerprint(p.hdrHash, sum, xor, rows)
 	case modeDistinct:
 		// The DISTINCT result is the support of the multiplicity map; its
 		// fingerprint combines each distinct row hash once.
@@ -956,10 +949,6 @@ func (p *Plan) buildBaseState() {
 			xor ^= h
 			rows++
 		}
-		p.hdrHash = p.headerHash()
-		p.fpSum, p.fpXor, p.fpRows = sum, xor, rows
-		p.fpMaintainable = true
-		p.baseFP = relational.CombineFingerprint(p.hdrHash, sum, xor, rows)
 	case modeAggregate:
 		// Scalar aggregation over zero rows still has one output row.
 		if len(p.q.GroupBy) == 0 && len(p.groups) == 0 {
@@ -993,23 +982,18 @@ func (p *Plan) buildBaseState() {
 				}
 			}
 		}
-		// Derive the fingerprint terms from the group states: one output
-		// row per group, hashed exactly as Eval encodes it. The combined
-		// value must reproduce Eval's fingerprint bit-for-bit; if it ever
-		// does not (a drift between groupRowHash and Eval's output
-		// encoding), the plan marks itself non-maintainable and live
-		// updates recompile it instead of patching — correctness degrades
-		// to a recompile, never to a wrong fingerprint.
-		var gBuf []byte
+		// One output row per group.
 		for key, gs := range p.groups {
 			var h uint64
-			h, gBuf = p.groupRowHash(key, gs, gBuf)
-			p.fpSum += h
-			p.fpXor ^= h
-			p.fpRows++
+			h, buf = p.groupRowHash(key, gs, buf)
+			sum += h
+			xor ^= h
+			rows++
 		}
-		p.fpMaintainable = relational.CombineFingerprint(p.hdrHash, p.fpSum, p.fpXor, p.fpRows) == p.baseFP
 	}
+	p.hdrHash = p.headerHash()
+	p.fpSum, p.fpXor, p.fpRows = sum, xor, rows
+	p.baseFP = relational.CombineFingerprint(p.hdrHash, sum, xor, rows)
 }
 
 // groupRowHash hashes the output row of one aggregate group exactly as
@@ -1060,18 +1044,27 @@ func appendAggOutput(b []byte, a relational.Agg, star bool, rows int, ab *aggBas
 }
 
 // headerHash reproduces the column names an Eval result would carry for
-// the plan's projection — ref.String() for explicit SELECT lists,
-// alias.column over every alias for SELECT * — and hashes them with the
-// shared helper, so the value is byte-identical to the Eval result's.
+// the plan's output — the group-by refs then each aggregate's column name
+// for aggregates, ref.String() for explicit SELECT lists, alias.column
+// over every alias for SELECT * — and hashes them with the shared helper,
+// so the value is byte-identical to the Eval result's.
 func (p *Plan) headerHash() uint64 {
 	var names []string
-	if len(p.q.Select) == 0 {
+	switch {
+	case p.mode == modeAggregate:
+		for _, ref := range p.q.GroupBy {
+			names = append(names, ref.String())
+		}
+		for _, a := range p.q.Aggs {
+			names = append(names, a.ColumnName())
+		}
+	case len(p.q.Select) == 0:
 		for _, ca := range p.aliases {
 			for _, c := range ca.schema.Cols {
 				names = append(names, ca.alias+"."+c.Name)
 			}
 		}
-	} else {
+	default:
 		for _, ref := range p.q.Select {
 			names = append(names, ref.String())
 		}

@@ -13,8 +13,6 @@ package plan
 //
 //   - the plan cannot probe at all (LIMIT output, disconnected join graph):
 //     there is no delta machinery to maintain its state with;
-//   - an aggregate plan's fingerprint decomposition is untrusted
-//     (fpMaintainable false);
 //   - a change removes the last occurrence of a group's reported MIN/MAX
 //     encoding while accepted values remain: the new extremum is unknown
 //     without the full value multiset;
@@ -45,9 +43,6 @@ import (
 // receiver is never modified either way.
 func (p *Plan) Rebase(newDB *relational.Database, changes []CellChange, shared *IndexPool) (*Plan, bool) {
 	if p.noProbe || p.mode == modeFullOnly {
-		return nil, false
-	}
-	if p.mode == modeAggregate && !p.fpMaintainable {
 		return nil, false
 	}
 	rel, ok := p.relevantChanges(changes)

@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -236,6 +237,52 @@ func TestValidateChangesDMLNegativePaths(t *testing.T) {
 	// NULL stays admissible in inserted rows.
 	if err := db.ValidateChanges([]CellChange{RowInsert("T", Null(), Null())}); err != nil {
 		t.Errorf("NULL must be admissible in inserts: %v", err)
+	}
+}
+
+// TestValidateChangesRefusesNonFiniteFloats pins the refusal of NaN and
+// ±Inf in cell updates and inserted rows: the error names the change
+// index, table, row (an insert's assigned slot) and column. Finite
+// extremes and -0.0 stay admissible.
+func TestValidateChangesRefusesNonFiniteFloats(t *testing.T) {
+	db := dmlTestDB()
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cases := []struct {
+			name    string
+			batch   []CellChange
+			wantSub []string
+		}{
+			{"cell update", []CellChange{
+				{Table: "T", Row: 0, Col: 0, New: Int(9)},
+				{Table: "U", Row: 0, Col: 0, New: Float(f)},
+			}, []string{"change 1", `"U"`, "row 0", `"c"`, "non-finite"}},
+			{"insert", []CellChange{
+				RowInsert("U", Float(2)),
+				RowInsert("T", Int(4), Str("w")),
+				RowInsert("U", Float(f)),
+			}, []string{"change 2", `"U"`, "row 2", `"c"`, "non-finite"}},
+		}
+		for _, tc := range cases {
+			err := db.ValidateChanges(tc.batch)
+			if err == nil {
+				t.Errorf("%s of %v: batch accepted", tc.name, f)
+				continue
+			}
+			for _, sub := range tc.wantSub {
+				if !strings.Contains(err.Error(), sub) {
+					t.Errorf("%s of %v: error %q missing %q", tc.name, f, err, sub)
+				}
+			}
+			if _, aerr := db.Apply(tc.batch); aerr == nil {
+				t.Errorf("%s of %v: Apply accepted a batch ValidateChanges rejects", tc.name, f)
+			}
+		}
+	}
+	for _, f := range []float64{math.MaxFloat64, -math.MaxFloat64, math.Copysign(0, -1), math.SmallestNonzeroFloat64} {
+		batch := []CellChange{{Table: "U", Row: 0, Col: 0, New: Float(f)}, RowInsert("U", Float(f))}
+		if err := db.ValidateChanges(batch); err != nil {
+			t.Errorf("finite float %v refused: %v", f, err)
+		}
 	}
 }
 

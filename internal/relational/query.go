@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -15,6 +16,8 @@ type ColRef struct {
 	Col   string
 }
 
+// String renders the reference as "table.col", the column name an Eval
+// result carries for it.
 func (c ColRef) String() string { return c.Table + "." + c.Col }
 
 // PredOp is a predicate comparison operator.
@@ -140,7 +143,9 @@ type Agg struct {
 	Distinct bool
 }
 
-func (a Agg) render() string {
+// ColumnName is the aggregate's output column name in an Eval result (and
+// its rendering in SelectQuery.String), e.g. "count(distinct T.V)".
+func (a Agg) ColumnName() string {
 	name := [...]string{"count", "sum", "avg", "min", "max"}[a.Op]
 	arg := "*"
 	if a.Col.Col != "" {
@@ -167,6 +172,23 @@ type SelectQuery struct {
 	Select   []ColRef // plain projection columns ("" table means only table); empty with no Aggs = SELECT *
 	Distinct bool
 	Limit    int // 0 = no limit
+}
+
+// Clone returns a deep copy of the query: editing the copy's slices (or a
+// predicate's IN set) never reaches the original, and vice versa.
+func (q *SelectQuery) Clone() *SelectQuery {
+	c := *q
+	c.Tables = slices.Clone(q.Tables)
+	c.Aliases = slices.Clone(q.Aliases)
+	c.Joins = slices.Clone(q.Joins)
+	c.Where = slices.Clone(q.Where)
+	for i := range c.Where {
+		c.Where[i].Set = slices.Clone(c.Where[i].Set)
+	}
+	c.GroupBy = slices.Clone(q.GroupBy)
+	c.Aggs = slices.Clone(q.Aggs)
+	c.Select = slices.Clone(q.Select)
+	return &c
 }
 
 // Result is a materialized query output.
@@ -815,7 +837,7 @@ func (q *SelectQuery) evalAggregates(rows [][]Value, bind *binding) (*Result, er
 		cols = append(cols, g.String())
 	}
 	for _, a := range q.Aggs {
-		cols = append(cols, a.render())
+		cols = append(cols, a.ColumnName())
 	}
 	out := &Result{Cols: cols}
 	sort.Strings(orderKeys)
@@ -863,7 +885,7 @@ func (q *SelectQuery) String() string {
 		sel = append(sel, g.String())
 	}
 	for _, a := range q.Aggs {
-		sel = append(sel, a.render())
+		sel = append(sel, a.ColumnName())
 	}
 	if len(q.Aggs) == 0 {
 		if len(q.Select) == 0 {

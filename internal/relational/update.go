@@ -97,10 +97,10 @@ type rowKey struct {
 //   - cell updates must reference a live (non-deleted) row and an
 //     in-range column, and a non-NULL value's kind must match the
 //     column's declared kind (base data stays schema-typed; NULL is
-//     always admissible);
+//     always admissible), and a float must be finite (no NaN, no ±Inf);
 //   - deletes must reference a live row;
 //   - inserts must carry exactly one value per schema column, each
-//     NULL or of the column's kind.
+//     NULL or of the column's kind, floats finite.
 //
 // Within one batch the changes must also be mutually consistent: writing
 // the same cell twice is rejected (the error names the offending
@@ -139,6 +139,10 @@ func (d *Database) ValidateChanges(changes []CellChange) error {
 			if col := t.Schema.Cols[c.Col]; !c.New.IsNull() && c.New.K != col.Kind {
 				return fmt.Errorf("relational: apply: change %d writes a %s into %s column %q.%q",
 					i, c.New.K, col.Kind, c.Table, col.Name)
+			}
+			if nonFinite(c.New) {
+				return fmt.Errorf("relational: apply: change %d writes non-finite float %v into row %d column %q.%q",
+					i, c.New.F, c.Row, c.Table, t.Schema.Cols[c.Col].Name)
 			}
 			if track {
 				ck := cellKey{c.Table, c.Row, c.Col}
@@ -191,12 +195,37 @@ func (d *Database) ValidateChanges(changes []CellChange) error {
 					return fmt.Errorf("relational: apply: change %d inserts a %s into %s column %q.%q",
 						i, v.K, col.Kind, c.Table, col.Name)
 				}
+				if nonFinite(v) {
+					return fmt.Errorf("relational: apply: change %d inserts non-finite float %v into row %d column %q.%q",
+						i, v.F, insertSlot(t, changes[:i+1]), c.Table, t.Schema.Cols[ci].Name)
+				}
 			}
 		default:
 			return fmt.Errorf("relational: apply: change %d has unknown op %q", i, c.Op)
 		}
 	}
 	return nil
+}
+
+// nonFinite reports whether v is a NaN or infinite float. Base data
+// refuses them: NaN compares equal to every value, so aggregate and
+// predicate decisions over it disagree with full evaluation, and neither
+// NaN nor ±Inf survives the JSON encoding of a write-ahead log record.
+func nonFinite(v Value) bool {
+	return v.K == KindFloat && (math.IsNaN(v.F) || math.IsInf(v.F, 0))
+}
+
+// insertSlot is the slot Apply assigns the last insert of changes: the
+// table's slot count plus the inserts into it that precede it.
+func insertSlot(t *Table, changes []CellChange) int {
+	last := changes[len(changes)-1]
+	slot := len(t.Rows)
+	for _, c := range changes[:len(changes)-1] {
+		if c.Op == OpRowInsert && c.Table == last.Table {
+			slot++
+		}
+	}
+	return slot
 }
 
 // NormalizeChanges validates a batch and returns a copy with every

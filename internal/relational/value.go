@@ -26,6 +26,7 @@ const (
 	KindString
 )
 
+// String names the kind for error messages ("int", "float", ...).
 func (k Kind) String() string {
 	switch k {
 	case KindNull:

@@ -5,6 +5,8 @@ package store
 // purchase path. The crash/degradation matrix is in fault_test.go.
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -94,6 +96,65 @@ func TestInvalidUpdateLeavesWALUntouched(t *testing.T) {
 	}
 	if b.Version() != 0 {
 		t.Fatalf("invalid update advanced the broker to %d", b.Version())
+	}
+}
+
+// TestNonFiniteUpdateRefusedWithoutDegrading: NaN and ±Inf are refused at
+// validation, a client error. Before validation refused them they reached
+// the WAL append, whose JSON encoding cannot represent them, and the
+// failure flipped the market read-only as if the disk had failed.
+func TestNonFiniteUpdateRefusedWithoutDegrading(t *testing.T) {
+	db, qs := scenario(t, "uniform")
+	b := calibratedBroker(t, db, qs)
+
+	dir := filepath.Join(t.TempDir(), "data")
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteSnapshot(b.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	mgr := NewManager(b, st, ManagerOptions{})
+
+	country := b.DB().Table("Country")
+	col := country.Schema.ColIndex("SurfaceArea")
+	for i, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		ins := append([]relational.Value(nil), country.Rows[0]...)
+		ins[col] = relational.Float(f)
+		for _, bad := range [][]relational.CellChange{
+			{{Table: "Country", Row: i, Col: col, New: relational.Float(f)}},
+			{relational.RowInsert("Country", ins...)},
+		} {
+			before := st.Stats()
+			_, _, err := mgr.Update(bad)
+			if err == nil {
+				t.Fatalf("update writing %v accepted", f)
+			}
+			if errors.Is(err, ErrDegraded) {
+				t.Fatalf("update writing %v: %v; a bad value is not a disk failure", f, err)
+			}
+			if deg, msg := mgr.Degraded(); deg {
+				t.Fatalf("update writing %v degraded the store: %s", f, msg)
+			}
+			if after := st.Stats(); after.LastSeq != before.LastSeq || after.WALBytes != before.WALBytes {
+				t.Fatalf("refused update writing %v reached the WAL", f)
+			}
+		}
+	}
+	if b.Version() != 0 {
+		t.Fatalf("refused updates advanced the broker to %d", b.Version())
+	}
+	// Writes still go through.
+	if _, _, err := mgr.Update([]relational.CellChange{{Table: "Country", Row: 0, Col: col, New: relational.Float(1e308)}}); err != nil {
+		t.Fatalf("finite update after the refusals: %v", err)
+	}
+	if _, _, err := mgr.Purchase(qs[0], 1e18); err != nil {
+		t.Fatalf("purchase after the refusals: %v", err)
 	}
 }
 

@@ -298,7 +298,7 @@ type BuildOptions struct {
 
 // Stats reports work done during hypergraph construction.
 type Stats struct {
-	QueryEvals   int // full query evaluations (plan compiles + fallbacks)
+	QueryEvals   int // base-answer evaluations: plan compiles + full-evaluation fallbacks
 	PrunedByCols int // (query, neighbor) pairs skipped by footprint pruning
 	PrunedByPred int // pairs skipped by local-predicate pruning
 	DeltaProbes  int // pairs decided by the incremental engine alone

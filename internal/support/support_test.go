@@ -386,3 +386,47 @@ func TestConflictSetFollowsEditedQuery(t *testing.T) {
 		t.Fatalf("edited to Asia: ConflictSet %v, want Asia's %v (Europe's is %v)", got, asia, europe)
 	}
 }
+
+// TestEditedQueryLeavesCachedPlanAlone: a compiled plan owns a copy of
+// its query. Editing a quoted LIMIT query object and quoting it again
+// must not rewrite the plan cached under the object's old key, so a fresh
+// object equal to the original still gets the original conflict set.
+func TestEditedQueryLeavesCachedPlanAlone(t *testing.T) {
+	db := smallWorld(t)
+	set, err := Generate(db, GenOptions{Size: 300, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byContinent := func(c string) *relational.SelectQuery {
+		return &relational.SelectQuery{
+			Name:   "by-continent-limited",
+			Tables: []string{"Country"},
+			Where: []relational.Predicate{{
+				Col: relational.ColRef{Table: "Country", Col: "Continent"},
+				Op:  relational.OpEq,
+				Val: relational.Str(c),
+			}},
+			Limit: 3,
+		}
+	}
+	q := byContinent("Europe")
+	europe, err := ConflictSet(set, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Where[0].Val = relational.Str("Asia")
+	asia, err := ConflictSet(set, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(europe, asia) {
+		t.Fatalf("Europe and Asia share conflict set %v; the test cannot tell them apart", asia)
+	}
+	got, err := ConflictSet(set, byContinent("Europe"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, europe) {
+		t.Fatalf("fresh Europe after editing a quoted object: ConflictSet %v, want %v", got, europe)
+	}
+}

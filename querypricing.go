@@ -260,7 +260,8 @@ func RowDelete(table string, row int) CellChange { return relational.RowDelete(t
 // IntValue returns an integer cell value.
 func IntValue(v int64) Value { return relational.Int(v) }
 
-// FloatValue returns a float cell value.
+// FloatValue returns a float cell value. Updates refuse NaN and ±Inf
+// (see Database.ValidateChanges).
 func FloatValue(v float64) Value { return relational.Float(v) }
 
 // StringValue returns a string cell value.

@@ -38,6 +38,7 @@ var auditedPackages = []string{
 	"internal/market",
 	"internal/metrics",
 	"internal/plan",
+	"internal/relational",
 	"internal/serve",
 	"internal/store",
 	"internal/support",
