@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"querypricing/internal/plan"
 	"querypricing/internal/raceinfo"
 	"querypricing/internal/relational"
 	"querypricing/internal/support"
@@ -148,4 +149,38 @@ func colIndexOf(t *testing.T, db *relational.Database, table, col string) int {
 		t.Fatalf("no column %s.%s", table, col)
 	}
 	return ci
+}
+
+// TestPendingBatchesBoundedAcrossShards streams 3 × plan.MaxPendingBatches
+// single-cell updates through a 7-shard broker with cached plans and no
+// drainer: the reported pending log never exceeds the cap
+// plan.MaxPendingBatches documents, at any shard count, because the
+// support set keeps one plan cache and so one log.
+func TestPendingBatchesBoundedAcrossShards(t *testing.T) {
+	db, qs := updateScenario(t, "skewed")
+	b, err := NewBroker(db, Config{SupportSize: 100, Seed: 5, Shards: 7, LPIPCandidates: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Calibrate(qs, valuation.Uniform{K: 100}, UIP); err != nil {
+		t.Fatal(err)
+	}
+	if ps := b.PlanStats(); ps.Plans == 0 {
+		t.Fatal("calibration cached no plans")
+	}
+	domain := db.ActiveDomain("Country", "Population")
+	if len(domain) < 2 {
+		t.Fatal("degenerate Population domain")
+	}
+	col := colIndexOf(t, db, "Country", "Population")
+	for i := 0; i < 3*plan.MaxPendingBatches; i++ {
+		if _, _, err := b.Update([]relational.CellChange{
+			{Table: "Country", Row: 4, Col: col, New: domain[i%2]},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if ps := b.PlanStats(); ps.PendingBatches > plan.MaxPendingBatches {
+			t.Fatalf("update %d: %d pending batches, cap %d", i+1, ps.PendingBatches, plan.MaxPendingBatches)
+		}
+	}
 }

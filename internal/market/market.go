@@ -12,10 +12,10 @@
 // lives in an immutable snapshot swapped atomically, so Quote is a lock-free
 // read even while Calibrate builds a replacement snapshot off to the side
 // (hypergraph construction is read-only and runs on the support set's
-// per-shard plan caches). The support set is sharded (Config.Shards):
-// calibration schedules shard × query tiles over the worker pool and each
-// quote fans its conflict-set computation out across shards. QuoteBatch
-// fans a query batch across a bounded worker pool. Every quote computes
+// plan cache). The support set is sharded (Config.Shards): calibration
+// schedules shard × query tiles over the worker pool, and each quote
+// probes the shards in its own goroutine. QuoteBatch fans a query batch
+// across a bounded worker pool. Every quote computes
 // its conflict set afresh; what makes that cheap — the compiled query
 // plan — is cached by the support set and carried across versions.
 //
@@ -75,9 +75,9 @@ type Config struct {
 	// (0 = GOMAXPROCS).
 	Workers int
 	// Shards partitions the support set: calibration schedules
-	// shard × query tiles over the worker pool and each quote fans out
-	// across shards concurrently. 0 picks GOMAXPROCS, negative forces a
-	// single shard. Results are byte-identical at every shard count.
+	// shard × query tiles over the worker pool, and each quote probes
+	// the shards in turn. 0 picks GOMAXPROCS, negative forces a single
+	// shard. Results are byte-identical at every shard count.
 	Shards int
 	// BackgroundDrain, when set, spawns a background goroutine after each
 	// Update that eagerly folds the deferred plan rebases into the new
@@ -300,29 +300,23 @@ func (b *Broker) UpdateAssigned(changes []relational.CellChange) (uint64, []rela
 	return newDB.Version(), norm, stats, nil
 }
 
-// PlanStats is the broker's plan-cache maintenance snapshot: per-shard
-// cached/stale plan counts and pending-log depths for the current data
-// snapshot, their totals, and the cumulative number of plan rebases
+// PlanStats is the broker's plan-cache maintenance snapshot: the cached
+// and stale plan counts and the pending-log depth of the current data
+// snapshot's plan cache, plus the cumulative number of plan rebases
 // deferred across every Update since the broker was built.
 type PlanStats struct {
-	Plans          int                      `json:"plans"`
-	Stale          int                      `json:"stale"`
-	PendingBatches int                      `json:"pending_batches"`
-	DeferredTotal  int64                    `json:"deferred_total"`
-	Shards         []support.ShardPlanStats `json:"shards"`
+	Plans          int   `json:"plans"`
+	Stale          int   `json:"stale"`
+	PendingBatches int   `json:"pending_batches"`
+	DeferredTotal  int64 `json:"deferred_total"`
 }
 
 // PlanStats reports the current snapshot's plan-cache state (see the
 // PlanStats type). Counts are point-in-time: concurrent quotes and the
 // background drainer fold stale plans forward as they run.
 func (b *Broker) PlanStats() PlanStats {
-	shards := b.state.Load().set.PlanStats()
-	out := PlanStats{Shards: shards, DeferredTotal: b.plansDeferred.Load()}
-	for _, s := range shards {
-		out.Plans += s.Plans
-		out.Stale += s.Stale
-		out.PendingBatches += s.Pending
-	}
+	out := PlanStats{DeferredTotal: b.plansDeferred.Load()}
+	out.Plans, out.Stale, out.PendingBatches = b.state.Load().set.PlanStats()
 	return out
 }
 
@@ -415,9 +409,9 @@ func (b *Broker) quoteWith(st *marketState, snap *pricingSnapshot, q *relational
 // QuoteBatch prices a batch of queries concurrently over a bounded worker
 // pool (Config.Workers, default GOMAXPROCS). Each worker owns one
 // contiguous chunk of the batch rather than pulling items from a shared
-// channel: a worker keeps quoting against the same per-shard plan caches
-// and pooled probe arenas without per-item dispatch overhead, and with a
-// single worker (one core, or a one-query batch) the batch degenerates to
+// channel: a worker keeps quoting against the same plan cache and pooled
+// probe arenas without per-item dispatch overhead, and with a single
+// worker (one core, or a one-query batch) the batch degenerates to
 // exactly the serial quote loop. The returned quotes are index-aligned
 // with the input; the first error aborts the batch. The data state and
 // pricing snapshot are loaded once for the whole batch, so every quote in

@@ -311,8 +311,8 @@ func TestConcurrentQuotes(t *testing.T) {
 // recalibration of an explicitly sharded broker and asserts the quotes a
 // sharded broker produces are identical to a single-shard broker's (the
 // conflict-set byte-identity guarantee surfacing at the market layer).
-// Run with -race it also pins the per-shard plan caches and footprint
-// indexes as safe under quote/calibrate fan-out.
+// Run with -race it also pins the set's plan cache and the shards'
+// footprint indexes as safe under concurrent quotes and calibration.
 func TestShardedQuoteDuringRecalibrate(t *testing.T) {
 	db := datagen.World(datagen.WorldConfig{Countries: 40, Cities: 120, Seed: 1})
 	qs := workloads.Skewed(db)[:25]

@@ -9,9 +9,10 @@ import (
 )
 
 // DefaultCacheSize bounds a Cache when the caller passes a non-positive
-// size. 4096 comfortably holds every workload of the paper's experiment
-// matrix while still bounding memory under adversarial online query
-// streams.
+// size. A support set keeps one cache of this size, whatever its shard
+// count. 4096 comfortably holds every workload of the paper's experiment
+// matrix and the 1459 distinct queries of the serve-read benchmark while
+// still bounding memory under adversarial online query streams.
 const DefaultCacheSize = 4096
 
 // MaxPendingBatches caps the pending change-batch log a lazily advanced
@@ -129,8 +130,8 @@ func consolidateWindow(changes []relational.CellChange) []relational.CellChange 
 }
 
 // IndexPool shares scan artifacts across plans — and across plan caches —
-// compiled against the same base database. A sharded support set hands
-// one pool to every shard's cache, so no shared artifact is built twice:
+// compiled against the same base database, so no shared artifact is
+// built twice:
 //
 //   - the join indexes of bare (predicate-free) scans, keyed by (table,
 //     column): a bare scan is the table itself;
@@ -556,8 +557,7 @@ func hashRows(rows [][]relational.Value, col int) map[uint64][]int32 {
 }
 
 // Key returns the cache key of a query: its canonical SQL rendering.
-// Structurally identical queries share one key (and so one plan and one
-// home shard).
+// Structurally identical queries share one key (and so one plan).
 func Key(q *relational.SelectQuery) string { return q.String() }
 
 // Cache is a bounded LRU of compiled plans keyed by the query's canonical
@@ -788,13 +788,8 @@ func (c *Cache) bindLocked(db *relational.Database) {
 // Get returns the cached plan for the query, compiling (and caching) it on
 // a miss. The second result reports whether a fresh compilation ran on this
 // call — callers use it to count compilations, each of which enumerates
-// the query's base answer once.
-func (c *Cache) Get(db *relational.Database, q *relational.SelectQuery) (*Plan, bool, error) {
-	return c.GetKeyed(db, Key(q), q)
-}
-
-// GetKeyed is Get with the cache key precomputed by the caller (Key(q)),
-// for hot paths that already rendered the query's canonical SQL.
+// the query's base answer once. The key is the query's canonical SQL
+// (Key), rendered on every call.
 //
 // A hit whose plan predates this generation's snapshot (deferred updates)
 // is upgraded in the shared slot before being returned: the pending
@@ -805,7 +800,8 @@ func (c *Cache) Get(db *relational.Database, q *relational.SelectQuery) (*Plan, 
 // this snapshot is answered by a private compilation: the shared slot is
 // never wound back, and the old generation's answers stay byte-identical
 // to its snapshot.
-func (c *Cache) GetKeyed(db *relational.Database, key string, q *relational.SelectQuery) (*Plan, bool, error) {
+func (c *Cache) Get(db *relational.Database, q *relational.SelectQuery) (*Plan, bool, error) {
+	key := Key(q)
 	s := c.store
 	s.mu.Lock()
 	if c.db != db {
@@ -963,9 +959,9 @@ type AdvanceStats struct {
 // (IndexPool.Advance); the receiver keeps serving the predecessor
 // snapshot (slots upgraded past it are answered by private compilations).
 //
-// Advancing a generation that is no longer the newest starts a fresh,
-// empty store for the successor — versions on a diverged lineage are
-// incomparable with the shared slots — unless the store was already
+// Advancing a never-used cache, or a generation that is no longer the
+// newest, starts a fresh, empty store for the successor — versions on a
+// diverged lineage are incomparable with the shared slots — unless the store was already
 // advanced to this exact newDB (sibling handles advanced with the same
 // successor snapshot converge on one generation instead of
 // double-appending the batch).
@@ -981,17 +977,11 @@ func (c *Cache) Advance(newDB *relational.Database, changes []relational.CellCha
 	s.mu.Lock()
 	var st AdvanceStats
 	switch {
-	case c.db == nil && s.latestDB == nil:
-		// Advancing a never-used cache: adopt newDB as the lineage root.
-		// There are no entries, so nothing needs the batch.
-		s.latestDB = newDB
-		s.latestVer = newVer
-		s.logBase = newVer
 	case s.latestDB == newDB && s.latestVer == newVer:
 		// Already advanced to this exact snapshot by a sibling handle:
 		// converge without appending the batch twice.
 		st.Deferred = s.staleCountLocked(newVer)
-	case s.latestDB == c.db && s.latestVer == c.version:
+	case c.db != nil && s.latestDB == c.db && s.latestVer == c.version:
 		// Linear advance of the newest generation — the O(changes) path.
 		// Every slot predates newVer (slots never outrun latestVer), so the
 		// deferred count is just the entry count.
@@ -1003,7 +993,10 @@ func (c *Cache) Advance(newDB *relational.Database, changes []relational.CellCha
 		// Branching advance from a non-latest generation: the successor's
 		// lineage diverges from the slots' (same version numbers, different
 		// databases), so shared slots cannot serve it. Start it on a fresh
-		// store; plans recompile on demand.
+		// store; plans recompile on demand. A never-used cache lands here
+		// too: it has no entries to share, and a shared store would let
+		// the receiver's first use (binding it to the predecessor
+		// snapshot) flush the successor's lineage and its pending log.
 		max := s.max
 		s.mu.Unlock()
 		fresh := NewCacheWithPool(max, pool)

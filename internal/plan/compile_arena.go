@@ -9,10 +9,10 @@ package plan
 // soon as the index is published, so they are pooled here instead of
 // reallocated per plan.
 //
-// The arena is pooled at package level rather than threaded per shard:
-// compilation runs under the plan cache's in-flight deduplication, so a
-// shard cannot hand its own arena through GetKeyed without serializing
-// concurrent compiles; a sync.Pool gives each compiling goroutine a
+// The arena is pooled at package level rather than threaded through the
+// caller: compilation runs under the plan cache's in-flight deduplication,
+// so a caller cannot hand its own arena through Get without
+// serializing concurrent compiles; a sync.Pool gives each compiling goroutine a
 // private arena with the same warm-reuse behavior.
 
 import "sync"

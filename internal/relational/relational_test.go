@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -431,5 +432,32 @@ func TestEvalDeterministic(t *testing.T) {
 		if r1.Fingerprint() != r2.Fingerprint() {
 			t.Fatal("evaluation must be deterministic")
 		}
+	}
+}
+
+// TestAppendRefusesNaN pins Append's float check: a NaN cell panics and
+// leaves the table as it was, as a width mismatch does, while ±Inf and
+// NULL are appended.
+func TestAppendRefusesNaN(t *testing.T) {
+	tbl := NewTable(NewSchema("T", Column{"I", KindInt}, Column{"F", KindFloat}))
+	mustPanic := func(label string, row ...Value) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: Append did not panic", label)
+			}
+		}()
+		tbl.Append(row...)
+	}
+	mustPanic("NaN", Int(1), Float(math.NaN()))
+	mustPanic("width", Int(1))
+	if n := tbl.NumRows(); n != 0 {
+		t.Fatalf("refused rows left %d slots", n)
+	}
+	tbl.Append(Int(1), Float(math.Inf(1)))
+	tbl.Append(Int(2), Float(math.Inf(-1)))
+	tbl.Append(Int(3), Null())
+	if n := tbl.NumRows(); n != 3 {
+		t.Fatalf("NumRows = %d after three admissible appends, want 3", n)
 	}
 }

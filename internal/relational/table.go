@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -54,11 +55,21 @@ type Table struct {
 // NewTable returns an empty table with the given schema.
 func NewTable(s *Schema) *Table { return &Table{Schema: s} }
 
-// Append adds a row after validating its width.
+// Append adds a row after validating it: the width must match the
+// schema, and no float cell may be NaN, which compares equal to nothing
+// and so has no place in a group, a sort order or a plan fingerprint
+// (updates refuse it in ValidateChanges). ±Inf order like any float and
+// stay admissible.
 func (t *Table) Append(row ...Value) {
 	if len(row) != len(t.Schema.Cols) {
 		panic(fmt.Sprintf("relational: row width %d != schema width %d for %q",
 			len(row), len(t.Schema.Cols), t.Schema.Name))
+	}
+	for i, v := range row {
+		if v.K == KindFloat && math.IsNaN(v.F) {
+			panic(fmt.Sprintf("relational: NaN float in row %d column %q.%q",
+				len(t.Rows), t.Schema.Name, t.Schema.Cols[i].Name))
+		}
 	}
 	t.Rows = append(t.Rows, row)
 }

@@ -100,13 +100,13 @@ func (s *Server) registerStateMetrics() {
 		func() float64 { return float64(s.broker.Compactions()) })
 
 	reg.GaugeFunc("marketd_plans_cached",
-		"Compiled query plans cached across support shards.",
+		"Compiled query plans in the support set's plan cache.",
 		func() float64 { return float64(s.broker.PlanStats().Plans) })
 	reg.GaugeFunc("marketd_plans_stale",
 		"Cached plans awaiting a lazy rebase against newer data.",
 		func() float64 { return float64(s.broker.PlanStats().Stale) })
 	reg.GaugeFunc("marketd_plans_pending_batches",
-		"Deferred update batches not yet folded into plan caches.",
+		"Deferred update batches not yet folded into cached plans.",
 		func() float64 { return float64(s.broker.PlanStats().PendingBatches) })
 	reg.CounterFunc("marketd_plans_deferred_total",
 		"Plan rebases deferred to first use instead of paid at update time, cumulative.",

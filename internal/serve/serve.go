@@ -399,9 +399,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"revenue":      s.broker.Revenue(),
 		"sales":        len(s.broker.Sales()),
 		"version":      s.broker.Version(),
-		// Deferred-maintenance state of the plan caches: totals plus a
-		// per-shard breakdown of cached/stale plans and pending update
-		// batches (see docs/UPDATES.md).
+		// Deferred-maintenance state of the plan cache: cached and stale
+		// plans, pending update batches and cumulative deferrals (see
+		// docs/UPDATES.md).
 		"plans": s.broker.PlanStats(),
 		// Slot occupancy and compaction history: per-table live and
 		// tombstoned rows plus the lifetime epoch count — the same signal

@@ -14,7 +14,7 @@ import (
 	"querypricing/internal/support"
 )
 
-// warmConflictSetCeiling is the allocs-per-op budget of a warm single-shard
+// warmConflictSetCeiling is the allocs-per-op budget of a warm
 // ConflictSet over a selective single-table query (the BenchmarkConflictSet
 // warm10k shape). Measured ~18 after the arena work; the ceiling leaves
 // headroom without re-admitting the pre-arena 243.
@@ -33,25 +33,37 @@ func selectiveQuery(t *testing.T, qs []*relational.SelectQuery) *relational.Sele
 	return nil
 }
 
+// TestWarmConflictSetAllocCeiling runs the warm quote at several shard
+// counts: every count stays under the ceiling, and a sharded set
+// allocates no more per quote than the unsharded one, since the shards
+// are probed in the calling goroutine into one conflict list.
 func TestWarmConflictSetAllocCeiling(t *testing.T) {
 	if raceinfo.Enabled {
 		t.Skip("allocation ceilings are calibrated without -race instrumentation")
 	}
 	db, qs := equivalenceScenario(t, "skewed")
-	set, err := support.Generate(db, support.GenOptions{Size: 2000, Seed: 3, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := selectiveQuery(t, qs)
-	if _, err := support.ConflictSet(set, q); err != nil {
-		t.Fatal(err) // prime the plan cache, shard indexes and arenas
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := support.ConflictSet(set, q); err != nil {
+	var unsharded float64
+	for _, k := range []int{1, 2, 7} {
+		set, err := support.Generate(db, support.GenOptions{Size: 2000, Seed: 3, Shards: k})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > warmConflictSetCeiling {
-		t.Errorf("warm ConflictSet allocates %.1f/op, ceiling %d", allocs, warmConflictSetCeiling)
+		if _, err := support.ConflictSet(set, q); err != nil {
+			t.Fatal(err) // prime the plan cache, shard indexes and arenas
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := support.ConflictSet(set, q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > warmConflictSetCeiling {
+			t.Errorf("K=%d: warm ConflictSet allocates %.1f/op, ceiling %d", k, allocs, warmConflictSetCeiling)
+		}
+		if k == 1 {
+			unsharded = allocs
+		} else if allocs > unsharded {
+			t.Errorf("K=%d: warm ConflictSet allocates %.1f/op, more than the unsharded %.1f", k, allocs, unsharded)
+		}
 	}
 }

@@ -7,17 +7,19 @@ package support
 // (shardOfNeighbor), and every inverted footprint index lists neighbors
 // the partition placed. Compact therefore rebuilds the partition and
 // indexes from the remapped deltas (the explicit contrast with Advance,
-// which shares both), while per-shard compiled plans are carried across
-// via plan.Cache.Remap — the query→shard homing (homeShard) depends only
-// on the query key and the shard count, so shard i's plans stay shard
-// i's plans.
+// which shares both), while the set's compiled plans are carried across
+// via one plan.Cache.Remap — plans belong to the set, not to a shard, so
+// the new partition does not touch them.
 //
 // A delta whose slot the compaction dropped (its row was tombstoned)
 // keeps table and column but gets Row = -1: the same vacuous behavior it
 // had against the tombstone — overlay views skip it, delta probes treat
 // it as touching no live row — so conflict sets stay byte-identical.
 
-import "querypricing/internal/relational"
+import (
+	"querypricing/internal/plan"
+	"querypricing/internal/relational"
+)
 
 // CompactStats reports what a Set.Compact carried and rebuilt.
 type CompactStats struct {
@@ -90,13 +92,12 @@ func RemapNeighbors(neighbors []Neighbor, maps *relational.SlotMap) ([]Neighbor,
 // Compact returns the support set re-rooted at newDB — the snapshot a
 // compaction with slot map maps produced from the set's current database
 // — with every neighbor's delta coordinates re-homed, the shard
-// partition and footprint indexes rebuilt from them, and each shard's
-// cached plans carried over through plan.Cache.Remap. The receiver is
-// never modified and keeps serving the uncompacted snapshot; conflict
-// sets on the compacted set are byte-identical to those of a fresh Set
-// built over newDB with the remapped neighbors, at every shard count.
+// partition and footprint indexes rebuilt from them, and the set's cached
+// plans carried over through plan.Cache.Remap. The receiver is never
+// modified and keeps serving the uncompacted snapshot; conflict sets on
+// the compacted set are byte-identical to those of a fresh Set built over
+// newDB with the remapped neighbors, at every shard count.
 func (s *Set) Compact(newDB *relational.Database, maps *relational.SlotMap) (*Set, CompactStats) {
-	oldShards := s.ensureShards()
 	var st CompactStats
 	neighbors, remapped, dropped := RemapNeighbors(s.Neighbors, maps)
 	st.NeighborsRemapped, st.DeltasDropped = remapped, dropped
@@ -104,26 +105,12 @@ func (s *Set) Compact(newDB *relational.Database, maps *relational.SlotMap) (*Se
 		DB:        newDB,
 		Neighbors: neighbors,
 		Shards:    s.Shards,
-		fanout:    s.fanout, // one quote-fan-out budget across both snapshots
+		pool:      plan.NewIndexPool(newDB),
 	}
+	ns.plans, st.PlansCarried, st.PlansDropped = s.cache().Remap(newDB, maps, ns.pool)
 	// Partition and footprint indexes must be rebuilt — the slots their
 	// hashes and listings are built on just moved. ensureShards does both
-	// from the remapped neighbors (and creates the fresh index pool the
-	// remapped caches share).
-	newShards := ns.ensureShards()
-	for i, sh := range oldShards {
-		sh.planMu.Lock()
-		plans := sh.plans
-		sh.planMu.Unlock()
-		if plans == nil {
-			continue
-		}
-		nc, carried, droppedPlans := plans.Remap(newDB, maps, ns.pool)
-		newShards[i].planMu.Lock()
-		newShards[i].plans = nc
-		newShards[i].planMu.Unlock()
-		st.PlansCarried += carried
-		st.PlansDropped += droppedPlans
-	}
+	// from the remapped neighbors, keeping the pool and remapped cache.
+	ns.ensureShards()
 	return ns, st
 }

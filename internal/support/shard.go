@@ -3,7 +3,8 @@ package support
 // Sharded support sets. The neighbors of a Set are partitioned into K
 // shards by a deterministic hash of each neighbor's cell footprint (the
 // set of cells its deltas touch), so the same set always shards the same
-// way regardless of K's relationship to machine shape. Each shard owns
+// way regardless of K's relationship to machine shape. A shard is a pure
+// partition of the neighbors; it owns
 //
 //   - its slice of the neighbors (as ascending global indices),
 //   - an inverted footprint index mapping (table, column) to the local
@@ -12,30 +13,29 @@ package support
 //     rule-1 candidate set, so neither a quote nor a BuildHypergraph job
 //     visits the (typically vast) majority of neighbors footprint pruning
 //     discards, and
-//   - a compiled-plan cache. Plans are homed on one shard per query key,
-//     so concurrent quote traffic spreads across per-shard cache locks;
-//     every cache shares one bare-scan index pool (plan.IndexPool), and
 //   - a pooled per-quote scratch (candidate marks plus a plan.Arena), so
-//     a warm quote against the shard is allocation-free.
+//     a warm probe of the shard is allocation-free.
+//
+// Compiled plans are not shard state: the Set owns one plan cache, shared
+// by every shard, next to the bare-scan index pool (plan.IndexPool).
 //
 // One function (shard.conflicts) computes a query's conflicts on a shard,
 // emitting the ascending global indices of its conflicting neighbors. The
-// online path (ConflictSet) fans a single query out across shards and one
-// sort merges the disjoint per-shard lists into the final ascending
-// conflict set; BuildHypergraph calls it for every query of each shard ×
-// query-tile job. Results are byte-identical to an unsharded, full-scan
-// computation at every K.
+// online path (ConflictSet) probes the shards one after another in the
+// calling goroutine and one sort merges the disjoint per-shard lists into
+// the final ascending conflict set; BuildHypergraph calls it for every
+// query of each shard × query-tile job. Results are byte-identical to an
+// unsharded, full-scan computation at every K.
 //
 // This in-process layout is also the seam a multi-process distribution
-// would cut along: each shard's state (neighbors, plan cache, footprint
-// index) is self-contained apart from the read-only base database.
+// would cut along: each shard's state (neighbors, footprint index) is
+// self-contained apart from the read-only base database and the compiled
+// plan it is handed.
 
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -45,14 +45,9 @@ import (
 
 // shard is one partition of a support set's neighbors.
 type shard struct {
-	id     int
-	global []int32            // ascending global indices of owned neighbors
-	index  map[string][]int32 // "table\x00col" -> local neighbor ids, ascending
-
-	planMu sync.Mutex
-	plans  *plan.Cache // plans homed on this shard (lazy)
-
-	scratch sync.Pool // *shardScratch, reused across quotes
+	global  []int32            // ascending global indices of owned neighbors
+	index   map[string][]int32 // "table\x00col" -> local neighbor ids, ascending
+	scratch sync.Pool          // *shardScratch, reused across quotes
 }
 
 // shardScratch is the reusable per-quote working memory of one shard:
@@ -64,17 +59,6 @@ type shardScratch struct {
 	marked []bool
 	cand   []int32
 	arena  *plan.Arena
-}
-
-// planCache returns the shard's plan cache, creating it on first use with
-// the set's shared bare-scan index pool.
-func (sh *shard) planCache(s *Set) *plan.Cache {
-	sh.planMu.Lock()
-	defer sh.planMu.Unlock()
-	if sh.plans == nil {
-		sh.plans = plan.NewCacheWithPool(0, s.pool)
-	}
-	return sh.plans
 }
 
 // shardOfNeighbor assigns a neighbor to a shard by hashing its cell
@@ -103,17 +87,10 @@ func shardOfNeighbor(nb *Neighbor, k int) int {
 	return int(mixed % uint64(k))
 }
 
-// homeShard picks the shard that owns a query's compiled plan.
-func homeShard(key string, k int) int {
-	if k <= 1 {
-		return 0
-	}
-	return int(relational.HashBytes([]byte(key)) % uint64(k))
-}
-
 // ensureShards lazily partitions the set: it normalizes the Shards field,
-// assigns every neighbor to its shard, and builds each shard's inverted
-// footprint index. Idempotent and safe for concurrent use.
+// assigns every neighbor to its shard, builds each shard's inverted
+// footprint index, and creates the set's plan cache over its bare-scan
+// index pool. Idempotent and safe for concurrent use.
 func (s *Set) ensureShards() []*shard {
 	s.shardMu.Lock()
 	defer s.shardMu.Unlock()
@@ -127,12 +104,12 @@ func (s *Set) ensureShards() []*shard {
 	if s.pool == nil {
 		s.pool = plan.NewIndexPool(s.DB)
 	}
-	if s.fanout == nil {
-		s.fanout = make(chan struct{}, runtime.GOMAXPROCS(0))
+	if s.plans == nil {
+		s.plans = plan.NewCacheWithPool(0, s.pool)
 	}
 	shards := make([]*shard, k)
 	for i := range shards {
-		shards[i] = &shard{id: i, index: make(map[string][]int32)}
+		shards[i] = &shard{index: make(map[string][]int32)}
 	}
 	for ni := range s.Neighbors {
 		sh := shards[shardOfNeighbor(&s.Neighbors[ni], k)]
@@ -221,59 +198,30 @@ func (sh *shard) conflicts(s *Set, p *plan.Plan, st *Stats, out []int) ([]int, e
 // answer on the base database. This is the online path a broker uses to
 // price a freshly arrived query (BuildHypergraph is the batch path).
 //
-// The query's compiled plan is recalled from its home shard's plan cache,
-// so repeated quotes — and quotes for queries a Calibrate already
-// compiled — skip the base evaluation entirely. Each shard's inverted
-// footprint index reduces the scan to the neighbors that can possibly
-// conflict, every probe draws its scratch from the shard's pooled arena,
-// and with more than one shard the probing fans out across shards
-// concurrently; the per-shard sorted conflict lists are then merged. The
-// computation never mutates shared state; any number of goroutines may
-// call it concurrently over one Set, and the result is byte-identical at
-// every shard count.
+// The query's compiled plan is recalled from the set's plan cache, so
+// repeated quotes — and quotes for queries a Calibrate already compiled —
+// skip the base evaluation entirely. Each shard's inverted footprint index
+// reduces the scan to the neighbors that can possibly conflict and every
+// probe draws its scratch from the shard's pooled arena. The shards are
+// probed in the calling goroutine, appending to one list that a single
+// sort puts in ascending order. The computation never mutates shared
+// state; any number of goroutines may call it concurrently over one Set,
+// and the result is byte-identical at every shard count.
 func ConflictSet(set *Set, q *relational.SelectQuery) ([]int, error) {
 	shards := set.ensureShards()
 	p, _, err := set.PlanFor(q)
 	if err != nil {
 		return nil, err
 	}
-	if len(shards) == 1 {
-		var st Stats
-		return shards[0].conflicts(set, p, &st, nil)
-	}
-	// Fan out across shards, but keep the total number of extra
-	// goroutines across all concurrent quotes bounded (set.fanout holds
-	// GOMAXPROCS permits): when no permit is free — e.g. many QuoteBatch
-	// workers quoting at once — the shard is probed inline instead, so
-	// shard parallelism never oversubscribes the batch worker pool.
-	results := make([][]int, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		select {
-		case set.fanout <- struct{}{}:
-			wg.Add(1)
-			go func(i int, sh *shard) {
-				defer wg.Done()
-				defer func() { <-set.fanout }()
-				var st Stats
-				results[i], errs[i] = sh.conflicts(set, p, &st, nil)
-			}(i, sh)
-		default:
-			var st Stats
-			results[i], errs[i] = sh.conflicts(set, p, &st, nil)
-		}
-	}
-	wg.Wait()
+	var st Stats
 	var items []int
-	for i, err := range errs {
-		if err != nil {
+	for _, sh := range shards {
+		if items, err = sh.conflicts(set, p, &st, items); err != nil {
 			return nil, err
 		}
-		items = append(items, results[i]...)
 	}
 	// Each shard's list is ascending; one sort merges the disjoint lists
 	// into the canonical ascending conflict set.
-	sort.Ints(items)
+	slices.Sort(items)
 	return items, nil
 }

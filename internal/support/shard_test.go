@@ -119,8 +119,8 @@ func TestShardedConflictSetMatchesUnsharded(t *testing.T) {
 
 // TestShardedSetConcurrentUse drives the sharded builder and concurrent
 // online quotes over one shared sharded Set; with -race it verifies the
-// per-shard state (plan caches, footprint indexes) is safe under the
-// fan-out the broker performs.
+// shared state (the plan cache, footprint indexes, probe scratch pools)
+// is safe under the concurrency the broker produces.
 func TestShardedSetConcurrentUse(t *testing.T) {
 	db, qs := equivalenceScenario(t, "skewed")
 	qs = qs[:50]

@@ -23,18 +23,18 @@
 // overlay view; SUM/AVG and DISTINCT aggregates are decided exactly
 // because evaluation accumulates them in canonical order.
 //
-// The neighbors of a Set are partitioned into shards (shard.go), each
-// owning its own plan cache, an inverted footprint index over its
-// neighbors' deltas, and a pooled probe scratch (a plan.Arena), so warm
+// A Set owns one compiled-plan cache. Its neighbors are partitioned into
+// shards (shard.go), each owning an inverted footprint index over its
+// neighbors' deltas and a pooled probe scratch (a plan.Arena), so warm
 // probes allocate nothing. A query's conflicts on one shard are computed
 // one way for every caller: rule 1 from the shard's footprint index, then
 // one delta probe per surviving neighbor. BuildHypergraph schedules shard
 // × query tiles of that computation over a bounded worker pool, and the
-// online ConflictSet path fans a single query out across shards, merging
-// the per-shard ascending lists with one sort. Nothing in this package
-// mutates the base database, so any number of goroutines may compute
-// conflict sets over the same Set concurrently, and results are
-// byte-identical at every shard count.
+// online ConflictSet path probes a single query's shards in the calling
+// goroutine, merging the per-shard ascending lists with one sort.
+// Nothing in this package mutates the base database, so any number of
+// goroutines may compute conflict sets over the same Set concurrently,
+// and results are byte-identical at every shard count.
 package support
 
 import (
@@ -58,11 +58,11 @@ type Neighbor struct {
 	Deltas []Delta
 }
 
-// Set is a generated support set over a base database, partitioned into
-// shards (see shard.go): each shard owns a deterministic subset of the
-// neighbors, its own compiled-plan cache (plans are homed on one shard by
-// query key) and an inverted footprint index over its neighbors' deltas.
-// Shard state is initialized lazily on first use, so literal construction
+// Set is a generated support set over a base database. It owns one
+// compiled-plan cache and is partitioned into shards (see shard.go): each
+// shard owns a deterministic subset of the neighbors and an inverted
+// footprint index over their deltas. Shard state and the cache are
+// initialized lazily on first use, so literal construction
 // (&Set{DB: ..., Neighbors: ...}) remains valid; set Shards before the
 // first plan or conflict-set computation.
 type Set struct {
@@ -76,7 +76,7 @@ type Set struct {
 	shardMu sync.Mutex
 	shards  []*shard
 	pool    *plan.IndexPool
-	fanout  chan struct{} // bounds extra goroutines across concurrent quotes
+	plans   *plan.Cache
 }
 
 // Size returns n = |S|.
@@ -84,30 +84,20 @@ func (s *Set) Size() int { return len(s.Neighbors) }
 
 // PlanFor returns the cached compiled plan for the query (compiling it on
 // first use). The boolean reports whether this call compiled the plan —
-// i.e. whether it paid the one-time base evaluation. Plans are owned by
-// the query's home shard, so concurrent quote traffic for different
-// queries spreads across per-shard cache locks. The plan is looked up by
-// the query's canonical text (plan.Key) on every call, so a query object
-// edited between calls is priced by what it says now.
+// i.e. whether it paid the one-time base evaluation. The plan is looked
+// up by the query's canonical text (plan.Key) on every call, so a query
+// object edited between calls is priced by what it says now.
 func (s *Set) PlanFor(q *relational.SelectQuery) (*plan.Plan, bool, error) {
-	key := plan.Key(q)
-	shards := s.ensureShards()
-	sh := shards[homeShard(key, len(shards))]
-	return sh.planCache(s).GetKeyed(s.DB, key, q)
+	return s.cache().Get(s.DB, q)
 }
 
-// PlanCacheLen reports the number of cached compiled plans across all
-// shards (diagnostics).
-func (s *Set) PlanCacheLen() int {
-	n := 0
-	for _, sh := range s.ensureShards() {
-		sh.planMu.Lock()
-		if sh.plans != nil {
-			n += sh.plans.Len()
-		}
-		sh.planMu.Unlock()
-	}
-	return n
+// PlanCacheLen reports the number of cached compiled plans (diagnostics).
+func (s *Set) PlanCacheLen() int { return s.cache().Len() }
+
+// cache returns the set's plan cache, initializing the set on first use.
+func (s *Set) cache() *plan.Cache {
+	s.ensureShards()
+	return s.plans
 }
 
 // NumShards reports the effective shard count (after normalization of the
@@ -366,7 +356,7 @@ func decidePair(set *Set, p *plan.Plan, nb *Neighbor, opts BuildOptions, view **
 // afterwards by the valuation package). Labels carry the query names.
 //
 // Construction is read-only and parallel: plans are compiled (or recalled
-// from the per-shard plan caches) concurrently, then shard × query-tile
+// from the set's plan cache) concurrently, then shard × query-tile
 // jobs are scheduled over a bounded worker pool — each job computes one
 // shard's conflicts for every query of one contiguous tile with the quote
 // path's per-shard probe, so large support sets parallelize across shards

@@ -8,16 +8,16 @@ package support
 // the old snapshot keep their set, caches and plans — and defers all
 // compiled-state maintenance:
 //
-//   - the shard partition and every shard's inverted footprint index are
-//     shared outright: both depend only on each neighbor's delta
-//     coordinates ((table, row, col) footprints), which an update never
-//     moves, so no neighbor is ever re-homed by a base-data change — a
-//     deliberate property of footprint-based sharding;
-//   - the shared bare-scan index pool and each shard's plan cache advance
-//     lazily (plan.IndexPool.Advance, plan.Cache.Advance): the change
-//     batch is appended to a pending log, and a plan or index is folded up
-//     to the new snapshot — all deferred batches coalesced into one rebase
-//     or patch pass — on its first post-update use. Advance cost is
+//   - the shards — the partition and every shard's inverted footprint
+//     index — are shared outright: both depend only on each neighbor's
+//     delta coordinates ((table, row, col) footprints), which an update
+//     never moves, so no neighbor is ever re-homed by a base-data change —
+//     a deliberate property of footprint-based sharding;
+//   - the bare-scan index pool and the set's plan cache advance lazily
+//     (plan.IndexPool.Advance, plan.Cache.Advance): the change batch is
+//     appended to a pending log, and a plan or index is folded up to the
+//     new snapshot — all deferred batches coalesced into one rebase or
+//     patch pass — on its first post-update use. Advance cost is
 //     therefore independent of how many plans are cached. Drain forces the
 //     fold-up eagerly (e.g. from a background goroutine on an idle broker).
 //
@@ -46,43 +46,31 @@ type UpdateStats struct {
 
 // Advance returns the support set re-based onto newDB — the successor
 // snapshot produced by applying changes to the set's current database —
-// with the same neighbors, the same shard partition, and every cached
-// plan carried over for lazy, coalesced rebasing on first use (see
-// plan.Cache.Advance). The receiver is never modified and remains fully
-// usable against the old snapshot; conflict sets computed on the advanced
-// set are byte-identical to those of a fresh Set built over newDB with the
-// same neighbors.
+// with the same neighbors, the same shards, and every cached plan carried
+// over for lazy, coalesced rebasing on first use (see plan.Cache.Advance).
+// The receiver is never modified and remains fully usable against the old
+// snapshot; conflict sets computed on the advanced set are byte-identical
+// to those of a fresh Set built over newDB with the same neighbors.
 func (s *Set) Advance(newDB *relational.Database, changes []Delta) (*Set, UpdateStats) {
 	shards := s.ensureShards()
-	var st UpdateStats
-	// One defensive copy, shared by the pool's and every cache's pending
-	// log: callers are free to reuse their change slice afterwards.
+	// One defensive copy, shared by the pool's and the cache's pending
+	// logs: callers are free to reuse their change slice afterwards.
 	ch := append([]Delta(nil), changes...)
-	newPool := s.pool.Advance(newDB, ch)
+	pool := s.pool.Advance(newDB, ch)
+	plans, ast := s.plans.Advance(newDB, ch, pool)
 	ns := &Set{
 		DB:        newDB,
 		Neighbors: s.Neighbors,
 		Shards:    s.Shards,
-		pool:      newPool,
-		fanout:    s.fanout, // one quote-fan-out budget across both snapshots
+		shards:    shards,
+		pool:      pool,
+		plans:     plans,
 	}
-	newShards := make([]*shard, len(shards))
-	for i, sh := range shards {
-		nsh := &shard{id: sh.id, global: sh.global, index: sh.index}
-		sh.planMu.Lock()
-		plans := sh.plans
-		sh.planMu.Unlock()
-		if plans != nil {
-			nc, ast := plans.Advance(newDB, ch, newPool)
-			nsh.plans = nc
-			st.PlansDeferred += ast.Deferred
-			st.PlansRebased += ast.Rebased
-			st.PlansInvalidated += ast.Recompiled
-		}
-		newShards[i] = nsh
+	return ns, UpdateStats{
+		PlansDeferred:    ast.Deferred,
+		PlansRebased:     ast.Rebased,
+		PlansInvalidated: ast.Recompiled,
 	}
-	ns.shards = newShards
-	return ns, st
 }
 
 // Drain eagerly folds every deferred update batch into the set's cached
@@ -92,63 +80,22 @@ func (s *Set) Advance(newDB *relational.Database, changes []Delta) (*Set, Update
 // quotes (shared upgrades deduplicate); an optional background drainer
 // calls this so idle brokers converge instead of deferring forever.
 func (s *Set) Drain() UpdateStats {
-	var st UpdateStats
-	for _, sh := range s.ensureShards() {
-		sh.planMu.Lock()
-		plans := sh.plans
-		sh.planMu.Unlock()
-		if plans != nil {
-			rebased, recompiled := plans.Drain(0)
-			st.PlansRebased += rebased
-			st.PlansInvalidated += recompiled
-		}
-	}
-	return st
+	rebased, recompiled := s.cache().Drain(0)
+	return UpdateStats{PlansRebased: rebased, PlansInvalidated: recompiled}
 }
 
-// StalePlans reports how many cached plans across all shards still carry
-// deferred update batches (diagnostics and tests).
-func (s *Set) StalePlans() int {
-	n := 0
-	for _, sh := range s.ensureShards() {
-		sh.planMu.Lock()
-		plans := sh.plans
-		sh.planMu.Unlock()
-		if plans != nil {
-			n += plans.StaleLen()
-		}
-	}
-	return n
-}
+// StalePlans reports how many cached plans still carry deferred update
+// batches (diagnostics and tests).
+func (s *Set) StalePlans() int { return s.cache().StaleLen() }
 
-// ShardPlanStats is one shard's deferred-maintenance snapshot: how many
-// plans its cache holds, how many of those are still behind the set's
-// database snapshot, and how many change batches sit in the cache's
-// pending log waiting to be coalesced into them.
-type ShardPlanStats struct {
-	Shard   int `json:"shard"`
-	Plans   int `json:"plans"`
-	Stale   int `json:"stale"`
-	Pending int `json:"pending_batches"`
-}
-
-// PlanStats reports every shard's deferred-maintenance state (diagnostics;
-// marketd surfaces this under GET /stats). The counts are a point-in-time
+// PlanStats reports the plan cache's deferred-maintenance state
+// (diagnostics; marketd surfaces it under GET /stats and /metrics): how
+// many plans it holds, how many of those are still behind the set's
+// database snapshot, and how many change batches sit in its pending log
+// waiting to be coalesced into them. The counts are a point-in-time
 // snapshot: concurrent quotes and drains move plans out of the stale
-// column as they fold them forward.
-func (s *Set) PlanStats() []ShardPlanStats {
-	shards := s.ensureShards()
-	out := make([]ShardPlanStats, len(shards))
-	for i, sh := range shards {
-		sh.planMu.Lock()
-		plans := sh.plans
-		sh.planMu.Unlock()
-		out[i].Shard = sh.id
-		if plans != nil {
-			out[i].Plans = plans.Len()
-			out[i].Stale = plans.StaleLen()
-			out[i].Pending = plans.PendingBatches()
-		}
-	}
-	return out
+// count as they fold them forward.
+func (s *Set) PlanStats() (plans, stale, pending int) {
+	c := s.cache()
+	return c.Len(), c.StaleLen(), c.PendingBatches()
 }

@@ -155,3 +155,25 @@ func TestAdvanceNeutralizedNeighbor(t *testing.T) {
 	}
 	assertSameConflictSets(t, "neutralized", []*relational.SelectQuery{q}, [][]int{got}, [][]int{want})
 }
+
+// TestAdvanceBeforeFirstUse advances a set whose plan cache has never
+// been used, then quotes the predecessor before the successor. Both must
+// keep answering for their own snapshot: the predecessor's first use must
+// not rebind a cache lineage the successor folds its plans through.
+func TestAdvanceBeforeFirstUse(t *testing.T) {
+	db, qs := equivalenceScenario(t, "skewed")
+	rng := rand.New(rand.NewSource(29))
+	for _, k := range []int{1, 2} {
+		base := generateSharded(t, db, 60, 5, 1, k)
+		changes := randomUpdate(rng, db, 8)
+		newDB, err := db.Apply(changes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, _ := base.Advance(newDB, changes)
+		assertSameConflictSets(t, "predecessor", qs, conflictSets(t, base, qs),
+			conflictSets(t, &support.Set{DB: db, Neighbors: base.Neighbors, Shards: k}, qs))
+		assertSameConflictSets(t, "successor", qs, conflictSets(t, next, qs),
+			conflictSets(t, &support.Set{DB: newDB, Neighbors: base.Neighbors, Shards: k}, qs))
+	}
+}
