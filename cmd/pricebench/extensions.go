@@ -193,8 +193,9 @@ func safeDiv(a, b float64) float64 {
 // (Broker.Update), reporting per-batch update latency, how much compiled
 // plan state survived (delta-maintained vs invalidated), and the warm
 // requote latency afterwards. It closes by verifying that the updated
-// broker's quotes are byte-identical to a fresh broker built over the
-// final database with the same support neighbors.
+// broker's quotes are byte-identical to a broker restored from its
+// snapshot — a fresh support set over the final database with the same
+// neighbors and the same calibrated prices.
 func (r *runner) runLiveUpdates() error {
 	sc, err := r.scenario(experiments.Skewed)
 	if err != nil {
@@ -215,17 +216,25 @@ func (r *runner) runLiveUpdates() error {
 	}
 
 	rng := rand.New(rand.NewSource(r.seed + 99))
+	// randomBatch draws n distinct cells: Apply refuses a batch that writes
+	// one cell twice.
 	randomBatch := func(db *relational.Database, n int) []relational.CellChange {
+		type cell struct {
+			table    string
+			row, col int
+		}
 		names := db.TableNames()
 		out := make([]relational.CellChange, 0, n)
+		seen := make(map[cell]bool, n)
 		for len(out) < n {
 			tn := names[rng.Intn(len(names))]
 			t := db.Table(tn)
 			row, col := rng.Intn(t.NumRows()), rng.Intn(len(t.Schema.Cols))
 			domain := db.ActiveDomain(tn, t.Schema.Cols[col].Name)
-			if len(domain) < 2 {
+			if len(domain) < 2 || seen[cell{tn, row, col}] {
 				continue
 			}
+			seen[cell{tn, row, col}] = true
 			out = append(out, relational.CellChange{
 				Table: tn, Row: row, Col: col, New: domain[rng.Intn(len(domain))],
 			})
@@ -265,20 +274,19 @@ func (r *runner) runLiveUpdates() error {
 		"drain", "-", time.Since(start).Round(time.Microsecond), "-",
 		drain.PlansRebased, drain.PlansInvalidated)
 
-	// Equivalence: a fresh broker on the final database with the same
-	// neighbors must quote identically, and the advanced set's conflict
-	// sets must match a fresh set's member for member (the accumulated
-	// change list advances sc.Set across all four versions in one jump).
-	freshSet := &support.Set{DB: broker.DB(), Neighbors: sc.Set.Neighbors, Shards: r.shards}
-	fresh, err := market.NewBrokerWithSupport(broker.DB(), freshSet, market.Config{
-		Seed: r.seed, LPIPCandidates: r.lpipCap,
+	// Equivalence: a broker restored from the updated broker's snapshot —
+	// a fresh support set over the final database with the same neighbors,
+	// priced by the same calibrated function — must quote identically, and
+	// the advanced set's conflict sets must match a fresh set's member for
+	// member (the accumulated change list advances sc.Set across all four
+	// versions in one jump).
+	fresh, err := market.Restore(broker.Snapshot(), market.Config{
+		Seed: r.seed, LPIPCandidates: r.lpipCap, Shards: r.shards,
 	})
 	if err != nil {
 		return err
 	}
-	if _, err := fresh.Calibrate(sc.Queries, valuation.Uniform{K: 100}, market.LPIP); err != nil {
-		return err
-	}
+	freshSet := &support.Set{DB: broker.DB(), Neighbors: sc.Set.Neighbors, Shards: r.shards}
 	advSet, _ := sc.Set.Advance(broker.DB(), changes)
 	for _, q := range probe {
 		a, err := broker.Quote(q)

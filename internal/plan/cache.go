@@ -129,9 +129,9 @@ func consolidateWindow(changes []relational.CellChange) []relational.CellChange 
 	return out
 }
 
-// IndexPool shares scan artifacts across plans — and across plan caches —
-// compiled against the same base database, so no shared artifact is
-// built twice:
+// IndexPool shares scan artifacts across the plans a cache generation
+// compiles against its base database, so no shared artifact is built
+// twice:
 //
 //   - the join indexes of bare (predicate-free) scans, keyed by (table,
 //     column): a bare scan is the table itself;
@@ -564,11 +564,13 @@ func Key(q *relational.SelectQuery) string { return q.String() }
 // SQL rendering, with in-flight deduplication: concurrent misses on the
 // same key share one compilation. It is safe for concurrent use.
 //
-// A Cache value is a lightweight generation handle: all entries live in a
-// cacheStore shared by every generation of one Advance chain. Each entry
-// is a versioned slot whose plan only ever moves forward in version, so
-// Advance touches nothing but the shared change log and O(1) generation
-// metadata — its cost is independent of how many plans are cached — while
+// A Cache value is a lightweight generation handle, bound for life to the
+// one snapshot it was made for and owning that snapshot's bare-scan index
+// pool; all entries live in a cacheStore shared by every generation of one
+// Advance chain. Each entry is a versioned slot whose plan only ever moves
+// forward in version, so Advance touches nothing but the shared change
+// log, the lazily advanced pool and O(1) generation metadata — its cost is
+// independent of how many plans are cached — while
 // older generations keep serving their own snapshot (a slot already
 // upgraded past a generation is answered by a private compilation instead
 // of winding the shared slot back). A plan is rebased on its first
@@ -577,10 +579,9 @@ func Key(q *relational.SelectQuery) string { return q.String() }
 // delta-maintenance rules.
 type Cache struct {
 	store   *cacheStore
-	pool    *IndexPool           // externally shared pool, nil for a private one
+	pool    *IndexPool           // bare-scan join indexes over db
 	db      *relational.Database // the snapshot this generation serves
 	version uint64               // == db.Version(); plans fold toward this
-	shared  *IndexPool           // bare-scan join indexes used by this generation
 }
 
 // cacheStore is the state every generation of one cache lineage shares:
@@ -604,8 +605,7 @@ type cacheStore struct {
 	log       []ChangeBatch        // covers versions (logBase, latestVer]
 	logBase   uint64               // every slot plan is at version >= logBase
 	latestVer uint64               // newest advanced-to version
-	latestDB  *relational.Database // newest advanced-to snapshot (nil: unbound)
-	flushGen  uint64               // bumped on cross-lineage flush; fences stray publishes
+	latestDB  *relational.Database // newest advanced-to snapshot
 
 	// Single-entry memo for coalesceRange: a Drain folds hundreds of plans
 	// sleeping at the same version toward the same target, and the
@@ -725,71 +725,35 @@ type compileCall struct {
 	err  error
 }
 
-// NewCache returns a cache bounded to max plans (DefaultCacheSize when max
-// is non-positive) with a private bare-scan index pool.
-func NewCache(max int) *Cache {
-	return NewCacheWithPool(max, nil)
-}
-
-// NewCacheWithPool is NewCache with an externally shared bare-scan index
-// pool: every cache handed the same pool reuses one index per bare (table,
-// column) pair. A nil pool — or a pool built for a different database than
-// the one a Get targets — falls back to a private pool.
-func NewCacheWithPool(max int, pool *IndexPool) *Cache {
+// NewCache returns a cache generation serving db, bounded to max plans
+// (DefaultCacheSize when max is non-positive). It roots a fresh store at
+// db and owns a fresh bare-scan index pool over db.
+func NewCache(db *relational.Database, max int) *Cache {
 	if max <= 0 {
 		max = DefaultCacheSize
 	}
-	return &Cache{
-		store: &cacheStore{
-			max:      max,
-			entries:  make(map[string]int32),
-			lru:      newLRU(),
-			inflight: make(map[string]*compileCall),
-		},
-		pool: pool,
+	return &Cache{store: newStore(db, max), pool: NewIndexPool(db), db: db, version: db.Version()}
+}
+
+// newStore returns an empty store whose lineage is rooted at db.
+func newStore(db *relational.Database, max int) *cacheStore {
+	return &cacheStore{
+		max:       max,
+		entries:   make(map[string]int32),
+		lru:       newLRU(),
+		inflight:  make(map[string]*compileCall),
+		latestDB:  db,
+		latestVer: db.Version(),
+		logBase:   db.Version(),
 	}
 }
 
-// bindLocked points the generation handle at db, binding (or flushing) the
-// shared store as needed. Called with the store mutex held, on the first
-// use of a fresh cache and whenever a caller hands a generation a database
-// it was not built for.
-func (c *Cache) bindLocked(db *relational.Database) {
-	s := c.store
-	if s.latestDB == nil {
-		// First use of a fresh store: adopt db as the lineage root.
-		s.latestDB = db
-		s.latestVer = db.Version()
-		s.logBase = db.Version()
-	} else if s.latestDB != db {
-		// A different database lineage. Versions across lineages are
-		// incomparable, so every slot, the log, and any in-flight publish
-		// are meaningless for it: flush the whole store and fence stragglers
-		// with flushGen.
-		s.flushGen++
-		s.entries = make(map[string]int32)
-		s.lru = newLRU()
-		s.count = 0
-		s.log = nil
-		s.memoChanges = nil // version windows are lineage-relative
-		s.latestDB = db
-		s.latestVer = db.Version()
-		s.logBase = db.Version()
-	}
-	c.db = db
-	c.version = db.Version()
-	if c.pool != nil && c.pool.db == db {
-		c.shared = c.pool
-	} else {
-		c.shared = NewIndexPool(db)
-	}
-}
-
-// Get returns the cached plan for the query, compiling (and caching) it on
-// a miss. The second result reports whether a fresh compilation ran on this
-// call — callers use it to count compilations, each of which enumerates
-// the query's base answer once. The key is the query's canonical SQL
-// (Key), rendered on every call.
+// Get returns the cached plan for the query against the generation's
+// snapshot, compiling (and caching) it on a miss. The second result
+// reports whether a fresh compilation ran on this call — callers use it to
+// count compilations, each of which enumerates the query's base answer
+// once. The key is the query's canonical SQL (Key), rendered on every
+// call.
 //
 // A hit whose plan predates this generation's snapshot (deferred updates)
 // is upgraded in the shared slot before being returned: the pending
@@ -800,14 +764,11 @@ func (c *Cache) bindLocked(db *relational.Database) {
 // this snapshot is answered by a private compilation: the shared slot is
 // never wound back, and the old generation's answers stay byte-identical
 // to its snapshot.
-func (c *Cache) Get(db *relational.Database, q *relational.SelectQuery) (*Plan, bool, error) {
+func (c *Cache) Get(q *relational.SelectQuery) (*Plan, bool, error) {
 	key := Key(q)
 	s := c.store
+	db, myVer := c.db, c.version
 	s.mu.Lock()
-	if c.db != db {
-		c.bindLocked(db)
-	}
-	myVer := c.version
 	var stale *Plan
 	if i, ok := s.entries[key]; ok {
 		p := s.lru.nodes[i].p
@@ -835,8 +796,6 @@ func (c *Cache) Get(db *relational.Database, q *relational.SelectQuery) (*Plan, 
 		// unregistered rather than hand its followers the wrong plan.
 		s.inflight[key] = call
 	}
-	shared := c.shared
-	fg := s.flushGen
 	var changes []relational.CellChange
 	if stale != nil {
 		// Capture the composite change set under the lock: the shared log
@@ -849,12 +808,12 @@ func (c *Cache) Get(db *relational.Database, q *relational.SelectQuery) (*Plan, 
 
 	fresh := false
 	if stale != nil {
-		if np, ok := stale.Rebase(db, changes, shared); ok {
+		if np, ok := stale.Rebase(db, changes, c.pool); ok {
 			call.p = np
 		}
 	}
 	if call.p == nil {
-		call.p, call.err = compile(db, q, shared)
+		call.p, call.err = compile(db, q, c.pool)
 		fresh = call.err == nil
 	}
 
@@ -862,10 +821,10 @@ func (c *Cache) Get(db *relational.Database, q *relational.SelectQuery) (*Plan, 
 	if s.inflight[key] == call {
 		delete(s.inflight, key)
 	}
-	// Publish monotonically: never into a flushed store (flushGen fence),
-	// never a plan older than the slot already holds, and never one the
-	// shared log could no longer fold forward (version < logBase).
-	if call.err == nil && s.flushGen == fg && c.db == db {
+	// Publish monotonically: never a plan older than the slot already
+	// holds, and never one the shared log could no longer fold forward
+	// (version < logBase).
+	if call.err == nil {
 		v := call.p.Version()
 		if i, ok := s.entries[key]; ok {
 			if nd := &s.lru.nodes[i]; v > nd.p.Version() && v >= s.logBase {
@@ -906,9 +865,6 @@ func (c *Cache) StaleLen() int {
 	s := c.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c.db == nil {
-		return 0
-	}
 	return s.staleCountLocked(c.version)
 }
 
@@ -947,67 +903,44 @@ type AdvanceStats struct {
 	Recompiled int
 }
 
-// Advance returns a cache generation for the successor snapshot newDB,
-// deferring all plan maintenance: every entry slot stays shared (nothing
-// is cloned — not the entry map, not the LRU) and the change batch is
-// appended to the shared pending log, so the cost of an update is O(batch)
-// plus O(1) generation metadata, independent of the number of cached
-// plans. Each plan is folded forward — all deferred batches coalesced into
-// one pass — on its first use through the new generation, or recompiled
-// when the composite change escapes delta maintenance; Drain forces the
-// fold-up eagerly. The pool must already be advanced to newDB
-// (IndexPool.Advance); the receiver keeps serving the predecessor
-// snapshot (slots upgraded past it are answered by private compilations).
+// Advance returns a cache generation for the successor snapshot newDB
+// (the receiver's database with changes applied), deferring all plan
+// maintenance: the generation's index pool advances lazily
+// (IndexPool.Advance), every entry slot stays shared (nothing is cloned —
+// not the entry map, not the LRU) and the change batch is appended to the
+// shared pending log, so the cost of an update is O(batch) plus O(1)
+// generation metadata, independent of the number of cached plans. Each
+// plan is folded forward — all deferred batches coalesced into one pass —
+// on its first use through the new generation, or recompiled when the
+// composite change escapes delta maintenance; Drain forces the fold-up
+// eagerly. The receiver keeps serving the predecessor snapshot (slots
+// upgraded past it are answered by private compilations).
 //
-// Advancing a never-used cache, or a generation that is no longer the
-// newest, starts a fresh, empty store for the successor — versions on a
-// diverged lineage are incomparable with the shared slots — unless the store was already
-// advanced to this exact newDB (sibling handles advanced with the same
-// successor snapshot converge on one generation instead of
-// double-appending the batch).
-func (c *Cache) Advance(newDB *relational.Database, changes []relational.CellChange, pool *IndexPool) (*Cache, AdvanceStats) {
+// Advancing a generation that is no longer the newest of its store — a
+// fork in database history — starts a fresh, empty store for the
+// successor: versions on a diverged lineage are incomparable with the
+// shared slots.
+func (c *Cache) Advance(newDB *relational.Database, changes []relational.CellChange) (*Cache, AdvanceStats) {
+	pool := c.pool.Advance(newDB, changes)
 	s := c.store
 	newVer := newDB.Version()
-	nc := &Cache{store: s, pool: pool, db: newDB, version: newVer}
-	if pool != nil && pool.db == newDB {
-		nc.shared = pool
-	} else {
-		nc.shared = NewIndexPool(newDB)
-	}
 	s.mu.Lock()
-	var st AdvanceStats
-	switch {
-	case s.latestDB == newDB && s.latestVer == newVer:
-		// Already advanced to this exact snapshot by a sibling handle:
-		// converge without appending the batch twice.
-		st.Deferred = s.staleCountLocked(newVer)
-	case c.db != nil && s.latestDB == c.db && s.latestVer == c.version:
-		// Linear advance of the newest generation — the O(changes) path.
-		// Every slot predates newVer (slots never outrun latestVer), so the
-		// deferred count is just the entry count.
-		s.log = append(s.log, ChangeBatch{ToVersion: newVer, Changes: changes})
-		s.latestDB = newDB
-		s.latestVer = newVer
-		st.Deferred = s.count
-	default:
+	if s.latestDB != c.db {
 		// Branching advance from a non-latest generation: the successor's
 		// lineage diverges from the slots' (same version numbers, different
-		// databases), so shared slots cannot serve it. Start it on a fresh
-		// store; plans recompile on demand. A never-used cache lands here
-		// too: it has no entries to share, and a shared store would let
-		// the receiver's first use (binding it to the predecessor
-		// snapshot) flush the successor's lineage and its pending log.
-		max := s.max
+		// databases), so shared slots cannot serve it. Plans recompile on
+		// demand.
 		s.mu.Unlock()
-		fresh := NewCacheWithPool(max, pool)
-		fresh.store.latestDB = newDB
-		fresh.store.latestVer = newVer
-		fresh.store.logBase = newVer
-		fresh.db = newDB
-		fresh.version = newVer
-		fresh.shared = nc.shared
-		return fresh, AdvanceStats{}
+		return &Cache{store: newStore(newDB, s.max), pool: pool, db: newDB, version: newVer}, AdvanceStats{}
 	}
+	// Linear advance of the newest generation — the O(changes) path. Every
+	// slot predates newVer (slots never outrun latestVer), so the deferred
+	// count is just the entry count.
+	s.log = append(s.log, ChangeBatch{ToVersion: newVer, Changes: changes})
+	s.latestDB = newDB
+	s.latestVer = newVer
+	nc := &Cache{store: s, pool: pool, db: newDB, version: newVer}
+	st := AdvanceStats{Deferred: s.count}
 	capDrain := len(s.log) > MaxPendingBatches
 	s.mu.Unlock()
 	if capDrain {
@@ -1051,15 +984,8 @@ func (c *Cache) Advance(newDB *relational.Database, changes []relational.CellCha
 // warm, up-to-date plans.
 func (c *Cache) Drain(limit int) (rebased, recompiled int) {
 	s := c.store
+	db, cur := c.db, c.version
 	s.mu.Lock()
-	if c.db == nil {
-		s.mu.Unlock()
-		return 0, 0
-	}
-	db := c.db
-	cur := c.version
-	shared := c.shared
-	fg := s.flushGen
 	var stales []string
 	for i := s.lru.tail; i >= 0; i = s.lru.nodes[i].prev {
 		nd := &s.lru.nodes[i]
@@ -1073,10 +999,6 @@ func (c *Cache) Drain(limit int) (rebased, recompiled int) {
 			break
 		}
 		s.mu.Lock()
-		if s.flushGen != fg {
-			s.mu.Unlock()
-			return rebased, recompiled
-		}
 		i, ok := s.entries[key]
 		if !ok {
 			s.mu.Unlock()
@@ -1090,16 +1012,16 @@ func (c *Cache) Drain(limit int) (rebased, recompiled int) {
 		changes := s.coalesceLocked(p.Version(), cur)
 		s.mu.Unlock()
 
-		np, folded := p.Rebase(db, changes, shared)
+		np, folded := p.Rebase(db, changes, c.pool)
 		if !folded {
 			var err error
-			np, err = compile(db, p.Query(), shared)
+			np, err = compile(db, p.Query(), c.pool)
 			if err != nil {
 				// Compilation failed (cannot happen for a previously
 				// compiled query under cell-level updates); drop the entry
 				// so it recompiles on demand.
 				s.mu.Lock()
-				if j, ok := s.entries[key]; ok && s.flushGen == fg && s.lru.nodes[j].p == p {
+				if j, ok := s.entries[key]; ok && s.lru.nodes[j].p == p {
 					delete(s.entries, key)
 					s.lru.remove(j)
 					s.count--
@@ -1110,7 +1032,7 @@ func (c *Cache) Drain(limit int) (rebased, recompiled int) {
 			}
 		}
 		s.mu.Lock()
-		if j, ok := s.entries[key]; ok && s.flushGen == fg {
+		if j, ok := s.entries[key]; ok {
 			if nd := &s.lru.nodes[j]; np.Version() > nd.p.Version() && np.Version() >= s.logBase {
 				nd.p = np
 			}

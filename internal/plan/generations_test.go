@@ -28,12 +28,11 @@ import (
 // to a fresh compilation over the original database.
 func TestOldGenerationByteIdenticalAfterSharedSlotMutation(t *testing.T) {
 	db0 := testDB()
-	pool := NewIndexPool(db0)
-	gen0 := NewCacheWithPool(16, pool)
+	gen0 := NewCache(db0, 16)
 	queries := testQueries()
 	fp0 := make(map[string]uint64, len(queries))
 	for _, q := range queries {
-		p, _, err := gen0.Get(db0, q)
+		p, _, err := gen0.Get(q)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
@@ -45,14 +44,13 @@ func TestOldGenerationByteIdenticalAfterSharedSlotMutation(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		changes := randomChanges(rng, db, 1+rng.Intn(3))
 		newDB := applyUpdate(t, db, changes)
-		pool = pool.Advance(newDB, changes)
-		cache, _ = cache.Advance(newDB, changes, pool)
+		cache, _ = cache.Advance(newDB, changes)
 		db = newDB
 
 		// The successor generation mutates the shared slots: half the
 		// queries fold forward on use, Drain pushes the rest.
 		for _, q := range queries[:len(queries)/2] {
-			if _, _, err := cache.Get(db, q); err != nil {
+			if _, _, err := cache.Get(q); err != nil {
 				t.Fatalf("round %d %s: %v", round, q.Name, err)
 			}
 		}
@@ -62,7 +60,7 @@ func TestOldGenerationByteIdenticalAfterSharedSlotMutation(t *testing.T) {
 		// before any update, versions pinned at the original snapshot, and
 		// full probe equivalence with a fresh compilation over db0.
 		for _, q := range queries {
-			p, _, err := gen0.Get(db0, q)
+			p, _, err := gen0.Get(q)
 			if err != nil {
 				t.Fatalf("round %d %s: old generation: %v", round, q.Name, err)
 			}
@@ -95,11 +93,10 @@ func TestConcurrentCrossGenerationTraffic(t *testing.T) {
 		cache *Cache
 	}
 	db := testDB()
-	pool := NewIndexPool(db)
-	cache := NewCacheWithPool(16, pool)
+	cache := NewCache(db, 16)
 	queries := testQueries()
 	for _, q := range queries {
-		if _, _, err := cache.Get(db, q); err != nil {
+		if _, _, err := cache.Get(q); err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
 	}
@@ -138,7 +135,7 @@ func TestConcurrentCrossGenerationTraffic(t *testing.T) {
 				}
 				g := pick(rng)
 				q := queries[rng.Intn(len(queries))]
-				p, _, err := g.cache.Get(g.db, q)
+				p, _, err := g.cache.Get(q)
 				if err != nil {
 					t.Errorf("%s: %v", q.Name, err)
 					return
@@ -169,9 +166,7 @@ func TestConcurrentCrossGenerationTraffic(t *testing.T) {
 		g := latest()
 		changes := randomChanges(rng, g.db, 1+rng.Intn(3))
 		newDB := applyUpdate(t, g.db, changes)
-		newPool := pool.Advance(newDB, changes)
-		newCache, _ := g.cache.Advance(newDB, changes, newPool)
-		pool = newPool
+		newCache, _ := g.cache.Advance(newDB, changes)
 		mu.Lock()
 		if len(gens) >= 8 {
 			gens = append(gens[:1], gens[len(gens)-6:]...) // keep gen0 + recent
@@ -187,7 +182,7 @@ func TestConcurrentCrossGenerationTraffic(t *testing.T) {
 	// original snapshot.
 	final := latest()
 	for _, q := range queries {
-		p, _, err := final.cache.Get(final.db, q)
+		p, _, err := final.cache.Get(q)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
@@ -201,7 +196,7 @@ func TestConcurrentCrossGenerationTraffic(t *testing.T) {
 		mu.RLock()
 		g0 := gens[0]
 		mu.RUnlock()
-		p0, _, err := g0.cache.Get(g0.db, q)
+		p0, _, err := g0.cache.Get(q)
 		if err != nil {
 			t.Fatalf("%s: gen0: %v", q.Name, err)
 		}
@@ -211,6 +206,66 @@ func TestConcurrentCrossGenerationTraffic(t *testing.T) {
 		}
 		if p0.BaseFingerprint() != fresh0.BaseFingerprint() {
 			t.Fatalf("%s: gen0 fingerprint %x != fresh-at-gen0 %x", q.Name, p0.BaseFingerprint(), fresh0.BaseFingerprint())
+		}
+	}
+}
+
+// TestBranchingAdvance forks database history: gen0 advances to dbA and,
+// separately, to dbB — the same version reached through different
+// changes — and each branch advances once more. Drains and queries of the
+// five generations interleave; every generation must answer exactly like
+// Compile on its own database, so no branch may serve a plan folded
+// through the other branch's changes.
+func TestBranchingAdvance(t *testing.T) {
+	db0 := testDB()
+	gen0 := NewCache(db0, 16)
+	queries := testQueries()
+	for _, q := range queries {
+		if _, _, err := gen0.Get(q); err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+	}
+	chA := []CellChange{
+		{Table: "T", Row: 1, Col: 0, New: relational.Int(5)},
+		{Table: "T", Row: 4, Col: 2, New: relational.Int(25)},
+	}
+	chB := []CellChange{
+		{Table: "T", Row: 1, Col: 0, New: relational.Int(3)},
+		{Table: "U", Row: 3, Col: 0, New: relational.Int(2)},
+	}
+	dbA, dbB := applyUpdate(t, db0, chA), applyUpdate(t, db0, chB)
+	if dbA.Version() != dbB.Version() {
+		t.Fatalf("fork versions %d and %d differ", dbA.Version(), dbB.Version())
+	}
+	genA, _ := gen0.Advance(dbA, chA)
+	genB, _ := gen0.Advance(dbB, chB)
+	chA2 := []CellChange{{Table: "T", Row: 2, Col: 1, New: relational.Str("a")}}
+	chB2 := []CellChange{{Table: "U", Row: 0, Col: 1, New: relational.Str("y")}}
+	dbA2, dbB2 := applyUpdate(t, dbA, chA2), applyUpdate(t, dbB, chB2)
+	genA2, _ := genA.Advance(dbA2, chA2)
+	genB2, _ := genB.Advance(dbB2, chB2)
+
+	type generation struct {
+		name string
+		db   *relational.Database
+		c    *Cache
+	}
+	gens := []generation{{"gen0", db0, gen0}, {"A", dbA, genA}, {"B", dbB, genB}, {"A2", dbA2, genA2}, {"B2", dbB2, genB2}}
+	for round, order := range [][]int{{2, 1, 4, 0, 3}, {3, 0, 4, 1, 2}, {1, 4, 2, 3, 0}} {
+		for i, gi := range order {
+			gens[gi].c.Drain(0)
+			g := gens[order[(i+1)%len(order)]]
+			for _, q := range queries {
+				p, _, err := g.c.Get(q)
+				if err != nil {
+					t.Fatalf("round %d %s %s: %v", round, g.name, q.Name, err)
+				}
+				fresh, err := Compile(g.db, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertPlanEquivalent(t, g.db, p, fresh, g.name+"/"+q.Name)
+			}
 		}
 	}
 }

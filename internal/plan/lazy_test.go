@@ -1,11 +1,12 @@
 package plan
 
-// Lazy coalesced cache advancement. Cache.Advance and IndexPool.Advance
-// defer all maintenance to a pending change-batch log; these tests pin the
-// coalescing semantics: a plan that sleeps through many update batches and
-// is then touched folds every pending batch in one pass and comes out
-// indistinguishable from a fresh compilation, and the pending log's cap
-// triggers an eager amortized drain instead of unbounded growth.
+// Lazy coalesced cache advancement. Cache.Advance, which also advances the
+// cache's own IndexPool, defers all maintenance to a pending change-batch
+// log; these tests pin the coalescing semantics: a plan that sleeps
+// through many update batches and is then touched folds every pending
+// batch in one pass and comes out indistinguishable from a fresh
+// compilation, and the pending log's cap triggers an eager amortized
+// drain instead of unbounded growth.
 
 import (
 	"math/rand"
@@ -20,11 +21,10 @@ import (
 // compilation on the final snapshot.
 func TestLazyAdvanceSleepingPlans(t *testing.T) {
 	db := testDB()
-	pool := NewIndexPool(db)
-	cache := NewCacheWithPool(16, pool)
+	cache := NewCache(db, 16)
 	queries := testQueries()
 	for _, q := range queries {
-		if _, _, err := cache.Get(db, q); err != nil {
+		if _, _, err := cache.Get(q); err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
 	}
@@ -32,15 +32,14 @@ func TestLazyAdvanceSleepingPlans(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		changes := randomChanges(rng, db, 1+rng.Intn(3))
 		newDB := applyUpdate(t, db, changes)
-		pool = pool.Advance(newDB, changes)
-		cache, _ = cache.Advance(newDB, changes, pool)
+		cache, _ = cache.Advance(newDB, changes)
 		db = newDB
 	}
 	if stale := cache.StaleLen(); stale == 0 {
 		t.Fatal("every plan slept through 10 batches; expected stale entries")
 	}
 	for _, q := range queries {
-		got, _, err := cache.Get(db, q)
+		got, _, err := cache.Get(q)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
@@ -64,11 +63,10 @@ func TestLazyAdvanceSleepingPlans(t *testing.T) {
 // plans still match fresh compilations.
 func TestPendingCapForcesDrain(t *testing.T) {
 	db := testDB()
-	pool := NewIndexPool(db)
-	cache := NewCacheWithPool(16, pool)
+	cache := NewCache(db, 16)
 	queries := testQueries()
 	for _, q := range queries {
-		if _, _, err := cache.Get(db, q); err != nil {
+		if _, _, err := cache.Get(q); err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
 	}
@@ -78,8 +76,7 @@ func TestPendingCapForcesDrain(t *testing.T) {
 	for round := 0; round < MaxPendingBatches+8; round++ {
 		changes := []CellChange{{Table: "T", Row: 0, Col: 2, New: vals[round%2]}}
 		newDB := applyUpdate(t, db, changes)
-		pool = pool.Advance(newDB, changes)
-		cache, _ = cache.Advance(newDB, changes, pool)
+		cache, _ = cache.Advance(newDB, changes)
 		db = newDB
 		if cache.StaleLen() == 0 {
 			sawDrain = true // the cap forced an eager drain on this Advance
@@ -89,7 +86,7 @@ func TestPendingCapForcesDrain(t *testing.T) {
 		t.Fatalf("no Advance drained within %d rounds; pending log grows without bound", MaxPendingBatches+8)
 	}
 	for _, q := range queries {
-		got, _, err := cache.Get(db, q)
+		got, _, err := cache.Get(q)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
@@ -108,11 +105,10 @@ func TestPendingCapForcesDrain(t *testing.T) {
 // match fresh compilations.
 func TestCacheDrainCountsAndConverges(t *testing.T) {
 	db := testDB()
-	pool := NewIndexPool(db)
-	cache := NewCacheWithPool(16, pool)
+	cache := NewCache(db, 16)
 	queries := testQueries()
 	for _, q := range queries {
-		if _, _, err := cache.Get(db, q); err != nil {
+		if _, _, err := cache.Get(q); err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
 	}
@@ -121,8 +117,7 @@ func TestCacheDrainCountsAndConverges(t *testing.T) {
 		{Table: "U", Row: 3, Col: 0, New: relational.Int(2)},
 	}
 	newDB := applyUpdate(t, db, changes)
-	pool = pool.Advance(newDB, changes)
-	cache, ast := cache.Advance(newDB, changes, pool)
+	cache, ast := cache.Advance(newDB, changes)
 	rebased, recompiled := cache.Drain(0)
 	if rebased+recompiled != ast.Deferred {
 		t.Fatalf("Drain folded %d+%d plans, want %d", rebased, recompiled, ast.Deferred)
@@ -134,7 +129,7 @@ func TestCacheDrainCountsAndConverges(t *testing.T) {
 		t.Fatalf("StaleLen = %d after Drain, want 0", stale)
 	}
 	for _, q := range queries {
-		got, fresh, err := cache.Get(newDB, q)
+		got, fresh, err := cache.Get(q)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"querypricing/internal/relational"
@@ -336,79 +335,18 @@ func TestProbeCyclicJoinExtrasBeforeProbe(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentDatabases hammers one cache from two databases
-// concurrently: every returned plan must carry the base fingerprint of the
-// database it was requested for (the in-flight dedup must not hand a
-// db1-compiled plan to a db2 caller across a flush).
-func TestCacheConcurrentDatabases(t *testing.T) {
-	db1, db2 := testDB(), testDB()
-	db2.Table("T").Rows[0][1] = relational.Str("other")
-	q := &relational.SelectQuery{Name: "q", Tables: []string{"T"}}
-	want1, _ := q.Eval(db1)
-	want2, _ := q.Eval(db2)
-	fps := map[*relational.Database]uint64{db1: want1.Fingerprint(), db2: want2.Fingerprint()}
-	c := NewCache(8)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				db := db1
-				if (g+i)%2 == 0 {
-					db = db2
-				}
-				p, _, err := c.Get(db, q)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if p.BaseFingerprint() != fps[db] {
-					t.Errorf("cache returned a plan for the wrong database")
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// TestCacheFlushOnDatabaseChange pins that a cache serving a different
-// database drops plans compiled against the previous one.
-func TestCacheFlushOnDatabaseChange(t *testing.T) {
-	db1, db2 := testDB(), testDB()
-	db2.Table("T").Rows[0][1] = relational.Str("other")
-	c := NewCache(8)
-	q := &relational.SelectQuery{Name: "q", Tables: []string{"T"}}
-	p1, _, err := c.Get(db1, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, fresh, err := c.Get(db2, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fresh || p1 == p2 {
-		t.Fatal("plan compiled for db1 served for db2")
-	}
-	if p1.BaseFingerprint() == p2.BaseFingerprint() {
-		t.Fatal("fingerprints should differ across the modified databases")
-	}
-}
-
 // TestCacheSharesAndBounds pins the plan cache: structurally identical
 // queries share one plan, and the LRU evicts beyond its bound.
 func TestCacheSharesAndBounds(t *testing.T) {
 	db := testDB()
-	c := NewCache(3)
+	c := NewCache(db, 3)
 	q1 := &relational.SelectQuery{Name: "first", Tables: []string{"T"}}
 	q2 := &relational.SelectQuery{Name: "second", Tables: []string{"T"}} // same SQL
-	p1, fresh1, err := c.Get(db, q1)
+	p1, fresh1, err := c.Get(q1)
 	if err != nil || !fresh1 {
 		t.Fatalf("first Get: fresh=%v err=%v", fresh1, err)
 	}
-	p2, fresh2, err := c.Get(db, q2)
+	p2, fresh2, err := c.Get(q2)
 	if err != nil || fresh2 {
 		t.Fatalf("second Get should hit the cache: fresh=%v err=%v", fresh2, err)
 	}
@@ -417,7 +355,7 @@ func TestCacheSharesAndBounds(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		q := &relational.SelectQuery{Name: "lim", Tables: []string{"T"}, Limit: i + 1}
-		if _, _, err := c.Get(db, q); err != nil {
+		if _, _, err := c.Get(q); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -168,17 +168,16 @@ func TestRebaseUntouchedQueryIsShared(t *testing.T) {
 }
 
 // TestRebaseThroughPoolAndCache drives the cache-level update path:
-// Cache.Advance + IndexPool.Advance defer all plan maintenance to first
-// use, and the lazily upgraded plans must be equivalent to fresh
-// compilations against the new snapshot while the old cache keeps serving
-// the old snapshot.
+// Cache.Advance, advancing the cache's pool with it, defers all plan
+// maintenance to first use, and the lazily upgraded plans must be
+// equivalent to fresh compilations against the new snapshot while the old
+// cache keeps serving the old snapshot.
 func TestRebaseThroughPoolAndCache(t *testing.T) {
 	db := testDB()
-	pool := NewIndexPool(db)
-	cache := NewCacheWithPool(8, pool)
+	cache := NewCache(db, 8)
 	queries := testQueries()
 	for _, q := range queries {
-		if _, _, err := cache.Get(db, q); err != nil {
+		if _, _, err := cache.Get(q); err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
 	}
@@ -188,8 +187,7 @@ func TestRebaseThroughPoolAndCache(t *testing.T) {
 		{Table: "T", Row: 4, Col: 2, New: relational.Int(25)}, // predicate flip
 	}
 	newDB := applyUpdate(t, db, changes)
-	newPool := pool.Advance(newDB, changes)
-	newCache, ast := cache.Advance(newDB, changes, newPool)
+	newCache, ast := cache.Advance(newDB, changes)
 	if ast.Deferred != cache.Len() {
 		t.Fatalf("Advance deferred %d plans, want all %d", ast.Deferred, cache.Len())
 	}
@@ -197,7 +195,7 @@ func TestRebaseThroughPoolAndCache(t *testing.T) {
 		t.Fatalf("StaleLen = %d after Advance, want %d", stale, ast.Deferred)
 	}
 	for _, q := range queries {
-		np, fresh, err := newCache.Get(newDB, q)
+		np, fresh, err := newCache.Get(q)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
@@ -213,7 +211,7 @@ func TestRebaseThroughPoolAndCache(t *testing.T) {
 			t.Fatalf("%s: lazily upgraded plan at version %d, want %d", q.Name, np.Version(), newDB.Version())
 		}
 		// The old cache still serves plans for the old snapshot.
-		op, _, err := cache.Get(db, q)
+		op, _, err := cache.Get(q)
 		if err != nil {
 			t.Fatalf("%s: old cache: %v", q.Name, err)
 		}

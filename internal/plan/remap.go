@@ -77,15 +77,16 @@ func (p *Plan) Remap(newDB *relational.Database, maps *relational.SlotMap) (*Pla
 // is first folded up to this generation's snapshot (Drain — compaction
 // consumes the predecessor wholesale, so no deferred batch may straddle
 // it), then remapped onto newDB and seeded into a fresh cache lineage
-// rooted there, preserving recency order. Plans that fail to remap are
-// dropped and recompile on demand. It returns the fresh cache plus the
-// carried/dropped counts. The receiver keeps serving its own snapshot.
+// rooted there, with its own index pool, preserving recency order. Plans
+// that fail to remap are dropped and recompile on demand. It returns the
+// fresh cache plus the carried/dropped counts. The receiver keeps serving
+// its own snapshot.
 //
 // A fresh lineage — rather than Advance's shared-store generation — is
 // deliberate: the shared pending log speaks slot coordinates, which a
 // compaction renumbers, so no batch logged before the compaction may
 // ever be coalesced across it.
-func (c *Cache) Remap(newDB *relational.Database, maps *relational.SlotMap, pool *IndexPool) (*Cache, int, int) {
+func (c *Cache) Remap(newDB *relational.Database, maps *relational.SlotMap) (*Cache, int, int) {
 	c.Drain(0)
 	s := c.store
 	type entry struct {
@@ -94,21 +95,16 @@ func (c *Cache) Remap(newDB *relational.Database, maps *relational.SlotMap, pool
 	}
 	var entries []entry // tail→head: least recently used first
 	s.mu.Lock()
-	max := s.max
-	if c.db != nil {
-		for i := s.lru.tail; i >= 0; i = s.lru.nodes[i].prev {
-			nd := &s.lru.nodes[i]
-			if nd.p.Version() == c.version {
-				entries = append(entries, entry{nd.key, nd.p})
-			}
+	for i := s.lru.tail; i >= 0; i = s.lru.nodes[i].prev {
+		nd := &s.lru.nodes[i]
+		if nd.p.Version() == c.version {
+			entries = append(entries, entry{nd.key, nd.p})
 		}
 	}
 	s.mu.Unlock()
 
-	fresh := NewCacheWithPool(max, pool)
+	fresh := NewCache(newDB, s.max)
 	fs := fresh.store
-	fs.mu.Lock()
-	fresh.bindLocked(newDB)
 	carried, dropped := 0, 0
 	for _, e := range entries {
 		np, ok := e.p.Remap(newDB, maps)
@@ -116,11 +112,11 @@ func (c *Cache) Remap(newDB *relational.Database, maps *relational.SlotMap, pool
 			dropped++
 			continue
 		}
-		// Oldest first + pushFront reproduces the source recency order.
+		// Oldest first + pushFront reproduces the source recency order; no
+		// other goroutine can see the fresh store yet.
 		fs.entries[e.key] = fs.lru.pushFront(e.key, np)
 		fs.count++
 		carried++
 	}
-	fs.mu.Unlock()
 	return fresh, carried, dropped
 }

@@ -118,9 +118,9 @@ func TestRemapRefusesStale(t *testing.T) {
 func TestCacheRemapCarriesWarmPlans(t *testing.T) {
 	db := testDB()
 	qs := testQueries()
-	cache := NewCache(32)
+	cache := NewCache(db, 32)
 	for _, q := range qs {
-		if _, _, err := cache.Get(db, q); err != nil {
+		if _, _, err := cache.Get(q); err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
 	}
@@ -131,13 +131,13 @@ func TestCacheRemapCarriesWarmPlans(t *testing.T) {
 	tab := db.TableNames()[0]
 	changes := []CellChange{relational.RowDelete(tab, 0)}
 	newDB := applyUpdate(t, db, changes)
-	cache, _ = cache.Advance(newDB, changes, nil)
+	cache, _ = cache.Advance(newDB, changes)
 
 	cdb, maps := compactCurrent(t, newDB)
 	if cdb == nil {
 		t.Fatal("expected tombstones")
 	}
-	fresh, carried, dropped := cache.Remap(cdb, maps, nil)
+	fresh, carried, dropped := cache.Remap(cdb, maps)
 	if carried+dropped == 0 {
 		t.Fatal("Remap saw no cached plans")
 	}
@@ -147,7 +147,7 @@ func TestCacheRemapCarriesWarmPlans(t *testing.T) {
 	// Carried plans must serve the compacted snapshot without recompiling,
 	// and probe identically to fresh compilations.
 	for _, q := range qs {
-		p, hit, err := fresh.Get(cdb, q)
+		p, hit, err := fresh.Get(q)
 		if err != nil {
 			t.Fatalf("%s on compacted cache: %v", q.Name, err)
 		}
@@ -160,7 +160,7 @@ func TestCacheRemapCarriesWarmPlans(t *testing.T) {
 		}
 	}
 	// The old cache still serves the uncompacted snapshot.
-	if _, _, err := cache.Get(newDB, qs[0]); err != nil {
+	if _, _, err := cache.Get(qs[0]); err != nil {
 		t.Fatalf("old lineage broken after Remap: %v", err)
 	}
 }

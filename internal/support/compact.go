@@ -17,7 +17,6 @@ package support
 // it as touching no live row — so conflict sets stay byte-identical.
 
 import (
-	"querypricing/internal/plan"
 	"querypricing/internal/relational"
 )
 
@@ -105,12 +104,11 @@ func (s *Set) Compact(newDB *relational.Database, maps *relational.SlotMap) (*Se
 		DB:        newDB,
 		Neighbors: neighbors,
 		Shards:    s.Shards,
-		pool:      plan.NewIndexPool(newDB),
 	}
-	ns.plans, st.PlansCarried, st.PlansDropped = s.cache().Remap(newDB, maps, ns.pool)
+	ns.plans, st.PlansCarried, st.PlansDropped = s.cache().Remap(newDB, maps)
 	// Partition and footprint indexes must be rebuilt — the slots their
 	// hashes and listings are built on just moved. ensureShards does both
-	// from the remapped neighbors, keeping the pool and remapped cache.
+	// from the remapped neighbors, keeping the remapped cache.
 	ns.ensureShards()
 	return ns, st
 }

@@ -17,7 +17,8 @@ package support
 //     a warm probe of the shard is allocation-free.
 //
 // Compiled plans are not shard state: the Set owns one plan cache, shared
-// by every shard, next to the bare-scan index pool (plan.IndexPool).
+// by every shard, and the cache owns the bare-scan index pool
+// (plan.IndexPool).
 //
 // One function (shard.conflicts) computes a query's conflicts on a shard,
 // emitting the ascending global indices of its conflicting neighbors. The
@@ -89,8 +90,9 @@ func shardOfNeighbor(nb *Neighbor, k int) int {
 
 // ensureShards lazily partitions the set: it normalizes the Shards field,
 // assigns every neighbor to its shard, builds each shard's inverted
-// footprint index, and creates the set's plan cache over its bare-scan
-// index pool. Idempotent and safe for concurrent use.
+// footprint index, and creates the set's plan cache (which owns its
+// bare-scan index pool) unless one was carried in. Idempotent and safe
+// for concurrent use.
 func (s *Set) ensureShards() []*shard {
 	s.shardMu.Lock()
 	defer s.shardMu.Unlock()
@@ -101,11 +103,8 @@ func (s *Set) ensureShards() []*shard {
 	if k <= 0 {
 		k = 1
 	}
-	if s.pool == nil {
-		s.pool = plan.NewIndexPool(s.DB)
-	}
 	if s.plans == nil {
-		s.plans = plan.NewCacheWithPool(0, s.pool)
+		s.plans = plan.NewCache(s.DB, 0)
 	}
 	shards := make([]*shard, k)
 	for i := range shards {

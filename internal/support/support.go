@@ -75,7 +75,6 @@ type Set struct {
 
 	shardMu sync.Mutex
 	shards  []*shard
-	pool    *plan.IndexPool
 	plans   *plan.Cache
 }
 
@@ -88,7 +87,7 @@ func (s *Set) Size() int { return len(s.Neighbors) }
 // up by the query's canonical text (plan.Key) on every call, so a query
 // object edited between calls is priced by what it says now.
 func (s *Set) PlanFor(q *relational.SelectQuery) (*plan.Plan, bool, error) {
-	return s.cache().Get(s.DB, q)
+	return s.cache().Get(q)
 }
 
 // PlanCacheLen reports the number of cached compiled plans (diagnostics).

@@ -13,8 +13,8 @@ package support
 //     delta coordinates ((table, row, col) footprints), which an update
 //     never moves, so no neighbor is ever re-homed by a base-data change —
 //     a deliberate property of footprint-based sharding;
-//   - the bare-scan index pool and the set's plan cache advance lazily
-//     (plan.IndexPool.Advance, plan.Cache.Advance): the change batch is
+//   - the set's plan cache advances lazily, and with it the bare-scan
+//     index pool it owns (plan.Cache.Advance): the change batch is
 //     appended to a pending log, and a plan or index is folded up to the
 //     new snapshot — all deferred batches coalesced into one rebase or
 //     patch pass — on its first post-update use. Advance cost is
@@ -53,17 +53,14 @@ type UpdateStats struct {
 // to those of a fresh Set built over newDB with the same neighbors.
 func (s *Set) Advance(newDB *relational.Database, changes []Delta) (*Set, UpdateStats) {
 	shards := s.ensureShards()
-	// One defensive copy, shared by the pool's and the cache's pending
-	// logs: callers are free to reuse their change slice afterwards.
-	ch := append([]Delta(nil), changes...)
-	pool := s.pool.Advance(newDB, ch)
-	plans, ast := s.plans.Advance(newDB, ch, pool)
+	// One defensive copy for the cache's pending log: callers are free to
+	// reuse their change slice afterwards.
+	plans, ast := s.plans.Advance(newDB, append([]Delta(nil), changes...))
 	ns := &Set{
 		DB:        newDB,
 		Neighbors: s.Neighbors,
 		Shards:    s.Shards,
 		shards:    shards,
-		pool:      pool,
 		plans:     plans,
 	}
 	return ns, UpdateStats{
