@@ -331,8 +331,8 @@ func checkCompactIdentity(baseURL string, b *market.Broker) error {
 	if !body.Compacted {
 		return fmt.Errorf("POST /compact reclaimed nothing on a churned database")
 	}
-	fmt.Printf("explicit compaction: %d tables, %d slots reclaimed, %d plans carried / %d dropped\n",
-		body.Stats.TablesCompacted, body.Stats.SlotsReclaimed, body.Stats.PlansCarried, body.Stats.PlansDropped)
+	fmt.Printf("explicit compaction: %d tables, %d slots reclaimed, %d plans dropped\n",
+		body.Stats.TablesCompacted, body.Stats.SlotsReclaimed, body.Stats.PlansDropped)
 	for i, q := range queries {
 		after, err := b.Quote(q)
 		if err != nil {

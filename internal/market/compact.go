@@ -7,9 +7,10 @@ package market
 // atomic-snapshot-swap discipline Update uses: the rewrite happens off
 // to the side (dense database via relational.Database.Compact, support
 // set re-homed via support.Set.Compact) and is
-// published with one atomic state swap. Quotes never block; in-flight
-// quotes that loaded the previous state finish against it and carry its
-// version. Compactions serialize with updates and calibrations on
+// published with one atomic state swap. Compiled plans are dropped at the
+// epoch and recompiled on first use against the compacted snapshot.
+// Quotes never block; in-flight quotes that loaded the previous state
+// finish against it (and its plans) and carry its version. Compactions serialize with updates and calibrations on
 // calMu. Durability is the store layer's job (store.Manager.Compact
 // write-ahead-logs the specs before calling this).
 
@@ -37,9 +38,8 @@ type CompactStats struct {
 	// coordinates moved, and deltas re-homed to the dead sentinel.
 	NeighborsRemapped int `json:"neighbors_remapped"`
 	DeltasDropped     int `json:"deltas_dropped"`
-	// PlansCarried / PlansDropped: cached compiled plans remapped onto
-	// the compacted snapshot vs. dropped for on-demand recompilation.
-	PlansCarried int `json:"plans_carried"`
+	// PlansDropped counts cached compiled plans the epoch dropped; each
+	// recompiles on its next use.
 	PlansDropped int `json:"plans_dropped"`
 }
 
@@ -56,10 +56,10 @@ func (b *Broker) Compactions() uint64 { return b.compactions.Load() }
 
 // Compact applies a planned compaction (relational.PlanCompaction) and
 // publishes the compacted snapshot with one atomic swap: the database
-// rewritten densely, the support set's neighbors, shard partition,
-// footprint indexes and cached plans re-homed. The calibrated pricing
-// is retained — its item weights attach to support neighbors, whose
-// identities a compaction never changes.
+// rewritten densely, the support set's neighbors, shard partition and
+// footprint indexes re-homed, and its plan cache started empty. The
+// calibrated pricing is retained — its item weights attach to support
+// neighbors, whose identities a compaction never changes.
 //
 // The specs are validated strictly against the current snapshot
 // (relational.Database.Compact): a spec planned against a state that has
@@ -102,7 +102,6 @@ func (b *Broker) compactLocked(specs []relational.CompactSpec) (CompactStats, er
 		TablesCompacted:   len(specs),
 		NeighborsRemapped: cst.NeighborsRemapped,
 		DeltasDropped:     cst.DeltasDropped,
-		PlansCarried:      cst.PlansCarried,
 		PlansDropped:      cst.PlansDropped,
 	}
 	for _, spec := range specs {

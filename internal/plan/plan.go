@@ -121,7 +121,7 @@ type compiledAlias struct {
 
 	baseTableRows [][]relational.Value       // the base table's full row slice (shared)
 	rows          [][]relational.Value       // scan: base rows passing preds, in table order
-	posOfBaseRow  []int32                    // base row index -> scan position+1 (0 = filtered out; nil when bare)
+	posOfBaseRow  []int32                    // base row index -> scan position+1 (0 or past the end = filtered out; nil when bare)
 	indexes       map[int]map[uint64][]int32 // column -> key hash -> ascending scan positions
 
 	usedCols []bool // column indexes this alias reads (preds, joins, output)

@@ -607,6 +607,8 @@ type rowSwap struct {
 // (appends, ascending slot order) join at the end of the scan — after
 // every surviving position, exactly where a fresh compile would place
 // them — with their index postings inserted and the position map grown.
+// A born row that fails the predicates leaves the map as it is: slots
+// past its end read as not in the scan (scanPos's bounds check).
 func patchFilteredAlias(ca *compiledAlias, nt *relational.Table, swaps []rowSwap, appends []int) *compiledAlias {
 	nca := *ca
 	nca.baseTableRows = nt.Rows
@@ -638,10 +640,7 @@ func patchFilteredAlias(ca *compiledAlias, nt *relational.Table, swaps []rowSwap
 			}
 		}
 	}
-	if len(appends) > 0 || len(nca.posOfBaseRow) != len(nt.Rows) {
-		// Grow even when no append joins the scan: Remap's currency check
-		// pins len(posOfBaseRow) == slot count, so a predicate-failing
-		// insert must still widen the map (new slots stay 0, not in scan).
+	if len(appends) > 0 {
 		nca.posOfBaseRow = make([]int32, len(nt.Rows))
 		copy(nca.posOfBaseRow, ca.posOfBaseRow) // beyond-base slots start at 0 (not in scan)
 		for _, ri := range appends {

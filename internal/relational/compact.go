@@ -6,11 +6,10 @@ package relational
 // which each chosen table's live rows occupy slots 0..live-1 densely,
 // in their original order, together with a SlotMap recording where every
 // old slot went. Because live-row order is preserved the remap is
-// monotone: scan contents — and therefore scan-position coordinates
-// such as join-index postings — are unchanged; only slot-addressed
-// coordinates (support-delta rows, posOfBaseRow, fingerprint row terms)
-// move, and the SlotMap is exactly what higher layers need to re-home
-// them (plan.Plan.Remap, support.Set.Compact).
+// monotone, and the SlotMap is exactly what higher layers need to re-home
+// their slot-addressed coordinates (support.Set.Compact re-homes the
+// support deltas). Compiled plans are not re-homed: they are dropped at
+// the epoch and recompiled on first use against the compacted snapshot.
 //
 // A compaction is described by CompactSpecs: one per rewritten table,
 // carrying the slot count it applies to and the ascending list of dead

@@ -7,9 +7,10 @@ package support
 // (shardOfNeighbor), and every inverted footprint index lists neighbors
 // the partition placed. Compact therefore rebuilds the partition and
 // indexes from the remapped deltas (the explicit contrast with Advance,
-// which shares both), while the set's compiled plans are carried across
-// via one plan.Cache.Remap — plans belong to the set, not to a shard, so
-// the new partition does not touch them.
+// which shares both). Compiled plans are not carried across: the
+// successor starts with an empty plan cache, exactly as a newly built set
+// does, and recompiles each plan on first use. A compaction never changes
+// a conflict set, so a plan is only ever a cache the set can rebuild.
 //
 // A delta whose slot the compaction dropped (its row was tombstoned)
 // keeps table and column but gets Row = -1: the same vacuous behavior it
@@ -28,10 +29,11 @@ type CompactStats struct {
 	// DeltasDropped counts deltas re-homed to the dead sentinel (their
 	// slot was a tombstone the compaction reclaimed).
 	DeltasDropped int
-	// PlansCarried counts cached plans remapped onto the new snapshot;
-	// PlansDropped counts plans that failed to remap and will recompile
-	// on demand.
+	// PlansCarried is always 0: a compaction carries no plans across. The
+	// field stays because the benchmark harness reads it.
 	PlansCarried int
+	// PlansDropped counts the plans the predecessor's cache held; the
+	// successor recompiles them on demand.
 	PlansDropped int
 }
 
@@ -91,24 +93,25 @@ func RemapNeighbors(neighbors []Neighbor, maps *relational.SlotMap) ([]Neighbor,
 // Compact returns the support set re-rooted at newDB — the snapshot a
 // compaction with slot map maps produced from the set's current database
 // — with every neighbor's delta coordinates re-homed, the shard
-// partition and footprint indexes rebuilt from them, and the set's cached
-// plans carried over through plan.Cache.Remap. The receiver is never
-// modified and keeps serving the uncompacted snapshot; conflict sets on
+// partition and footprint indexes rebuilt from them, and an empty plan
+// cache. The receiver is never modified and keeps serving the
+// uncompacted snapshot with its plans; conflict sets on
 // the compacted set are byte-identical to those of a fresh Set built over
 // newDB with the remapped neighbors, at every shard count.
 func (s *Set) Compact(newDB *relational.Database, maps *relational.SlotMap) (*Set, CompactStats) {
-	var st CompactStats
 	neighbors, remapped, dropped := RemapNeighbors(s.Neighbors, maps)
-	st.NeighborsRemapped, st.DeltasDropped = remapped, dropped
 	ns := &Set{
 		DB:        newDB,
 		Neighbors: neighbors,
 		Shards:    s.Shards,
 	}
-	ns.plans, st.PlansCarried, st.PlansDropped = s.cache().Remap(newDB, maps)
 	// Partition and footprint indexes must be rebuilt — the slots their
 	// hashes and listings are built on just moved. ensureShards does both
-	// from the remapped neighbors, keeping the remapped cache.
+	// from the remapped neighbors, and creates the fresh plan cache.
 	ns.ensureShards()
-	return ns, st
+	return ns, CompactStats{
+		NeighborsRemapped: remapped,
+		DeltasDropped:     dropped,
+		PlansDropped:      s.PlanCacheLen(),
+	}
 }

@@ -8,6 +8,7 @@ package support_test
 // never a semantic change. Runs under -race in CI.
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -22,15 +23,7 @@ func churnWithTombstones(t *testing.T, set *support.Set, db *relational.Database
 	t.Helper()
 	cur, curDB := set, db
 	for round := 0; round < 10; round++ {
-		changes := randomDMLUpdate(rng, curDB, 3+rng.Intn(5))
-		norm, err := curDB.NormalizeChanges(changes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		newDB, err := curDB.Apply(norm)
-		if err != nil {
-			t.Fatal(err)
-		}
+		newDB, norm := randomDMLBatch(t, rng, curDB)
 		cur, _ = cur.Advance(newDB, norm)
 		curDB = newDB
 		if specs, err := curDB.PlanCompaction(nil); err == nil && len(specs) > 0 && round >= 2 {
@@ -41,10 +34,28 @@ func churnWithTombstones(t *testing.T, set *support.Set, db *relational.Database
 	return nil, nil
 }
 
+// randomDMLBatch draws one normalized mixed DML batch against db and
+// returns the snapshot it produces together with the batch.
+func randomDMLBatch(t *testing.T, rng *rand.Rand, db *relational.Database) (*relational.Database, []support.Delta) {
+	t.Helper()
+	norm, err := db.NormalizeChanges(randomDMLUpdate(rng, db, 3+rng.Intn(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newDB, err := db.Apply(norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newDB, norm
+}
+
 // TestSetCompactConflictSetsIdentical is the tentpole equivalence: after
 // a mixed DML chain, compacting must leave every query's conflict set
 // byte-identical — against the pre-compaction set, against a fresh Set
-// over the compacted database, and across every shard count.
+// over the compacted database, and across every shard count. The
+// compacted set starts with an empty plan cache while the old set keeps
+// its plans, and it stays identical to the fresh Set through further DML
+// batches after the epoch.
 func TestSetCompactConflictSetsIdentical(t *testing.T) {
 	ks := []int{1, 2, runtime.NumCPU()}
 	for _, w := range equivalenceWorkloads {
@@ -70,6 +81,12 @@ func TestSetCompactConflictSetsIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				cset, stats := adv.Compact(newDB, maps)
+				if n := cset.PlanCacheLen(); n != 0 {
+					t.Fatalf("compacted set starts with %d cached plans, want 0", n)
+				}
+				if n := adv.PlanCacheLen(); n == 0 || stats.PlansDropped != n || stats.PlansCarried != 0 {
+					t.Fatalf("old set holds %d plans; stats %+v", n, stats)
+				}
 				after := conflictSets(t, cset, qs)
 				assertSameConflictSets(t, w+"/pre-vs-post", qs, after, before)
 
@@ -78,6 +95,18 @@ func TestSetCompactConflictSetsIdentical(t *testing.T) {
 
 				// The old set still serves the uncompacted snapshot.
 				assertSameConflictSets(t, w+"/old-snapshot", qs, conflictSets(t, adv, qs), before)
+
+				// Past the epoch: the compacted and the fresh set take the
+				// same DML batches and must agree after every one.
+				cur, curFresh, curDB := cset, fresh, newDB
+				for batch := 0; batch < 5; batch++ {
+					nextDB, norm := randomDMLBatch(t, rng, curDB)
+					cur, _ = cur.Advance(nextDB, norm)
+					curFresh, _ = curFresh.Advance(nextDB, norm)
+					curDB = nextDB
+					assertSameConflictSets(t, fmt.Sprintf("%s/post-epoch-%d", w, batch), qs,
+						conflictSets(t, cur, qs), conflictSets(t, curFresh, qs))
+				}
 
 				if acrossShards == nil {
 					acrossShards = after

@@ -91,8 +91,7 @@ func shardOfNeighbor(nb *Neighbor, k int) int {
 // ensureShards lazily partitions the set: it normalizes the Shards field,
 // assigns every neighbor to its shard, builds each shard's inverted
 // footprint index, and creates the set's plan cache (which owns its
-// bare-scan index pool) unless one was carried in. Idempotent and safe
-// for concurrent use.
+// bare-scan index pool). Idempotent and safe for concurrent use.
 func (s *Set) ensureShards() []*shard {
 	s.shardMu.Lock()
 	defer s.shardMu.Unlock()
@@ -103,9 +102,7 @@ func (s *Set) ensureShards() []*shard {
 	if k <= 0 {
 		k = 1
 	}
-	if s.plans == nil {
-		s.plans = plan.NewCache(s.DB, 0)
-	}
+	s.plans = plan.NewCache(s.DB, 0)
 	shards := make([]*shard, k)
 	for i := range shards {
 		shards[i] = &shard{index: make(map[string][]int32)}
