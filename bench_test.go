@@ -13,12 +13,14 @@ import (
 	"testing"
 
 	"querypricing/internal/bounds"
+	"querypricing/internal/datagen"
 	"querypricing/internal/experiments"
 	"querypricing/internal/lowerbounds"
 	"querypricing/internal/lp"
 	"querypricing/internal/pricing"
 	"querypricing/internal/support"
 	"querypricing/internal/valuation"
+	"querypricing/internal/workloads"
 )
 
 // scenarioCache builds each workload scenario once per bench run.
@@ -336,9 +338,12 @@ func forcedSaleBenchLP(b *testing.B) *lp.Problem {
 // serving repeat quote traffic. "warm10k" and "sharded" grow the support
 // set to |S| = 10000 — toward the paper's 100k scale — quoting a
 // selective query (W14, a predicated single-table projection, the typical
-// online shape) against one shard and against GOMAXPROCS shards: the
-// per-shard inverted footprint indexes cut the scan to the candidate
-// neighbors and the sharded variant fans those probes out concurrently.
+// online shape) against one shard and against GOMAXPROCS shards: each
+// shard's footprint postings cut the scan to the candidate neighbors, and
+// the shards are probed one after another in the calling goroutine.
+// "mix5k" is serve-read's scan: every skewed-workload query over the
+// full-size world, quoted warm in turn against |S| = 5000 at two shards,
+// so one op is one quote of the mix.
 func BenchmarkConflictSet(b *testing.B) {
 	sc := benchScenario(b, experiments.Skewed)
 	q := sc.Queries[9] // W10: SELECT * FROM Country
@@ -389,6 +394,27 @@ func BenchmarkConflictSet(b *testing.B) {
 			}
 		})
 	}
+	b.Run("mix5k", func(b *testing.B) {
+		b.ReportAllocs()
+		db := datagen.World(datagen.WorldConfig{Countries: 239, Cities: 600, Seed: 1})
+		mix := workloads.Skewed(db)
+		set, err := support.Generate(db, support.GenOptions{Size: 5000, Seed: 1, Shards: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, q := range mix {
+			if _, err := support.ConflictSet(set, q); err != nil {
+				b.Fatal(err) // compile every plan and warm the shard scratch
+			}
+		}
+		runtime.GC()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := support.ConflictSet(set, mix[i%len(mix)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // ---- Live updates: update latency and post-update requote ----

@@ -26,6 +26,7 @@ type Arena struct {
 	run     runner
 	acc     probeAcc
 	ov      overlayScratch
+	cell    [1]CellChange // ProbeCell's one-change batch
 }
 
 // arenaPool backs Plan.ProbeDelta for callers that do not own a worker

@@ -380,6 +380,16 @@ func (p *Plan) buildFootprintBitmaps() {
 	}
 }
 
+// FootprintCols returns the footprint of one base table as a bitmap over
+// its column indexes (shared; callers must not modify it) and whether the
+// query reads the table at all. Row inserts and deletes touch the query
+// whenever it reads their table; a cell update only when its column's bit
+// is set.
+func (p *Plan) FootprintCols(table string) ([]bool, bool) {
+	cols, ok := p.fpCols[table]
+	return cols, ok
+}
+
 // TouchesChanges implements pruning rule 1: it reports whether any change
 // hits a column in the query's footprint. Row inserts and deletes change
 // scan membership, so they touch whenever their table appears in the query
@@ -406,9 +416,6 @@ func (p *Plan) Query() *relational.SelectQuery { return p.q }
 // BaseFingerprint returns the fingerprint of the query's answer on the base
 // database, for comparison against full re-evaluations.
 func (p *Plan) BaseFingerprint() uint64 { return p.baseFP }
-
-// Footprint returns the query's column footprint (pruning rule 1).
-func (p *Plan) Footprint() *relational.Footprint { return p.fp }
 
 func (p *Plan) aliasName(i int) string {
 	if i < len(p.q.Aliases) && p.q.Aliases[i] != "" {
@@ -1219,9 +1226,10 @@ func relevantToAlias(ca *compiledAlias, table string, row int, changes []CellCha
 // visibleAfter reports whether the patched version of (table, row) passes
 // the alias's predicates, evaluating each predicate against the group's
 // last change to that column (or the base value) without materializing
-// the patched row. It is the single definition of post-change visibility:
-// both patch construction and the probe's input-untouched pre-pass use
-// it, so the two can never drift apart.
+// the patched row. It is the definition of post-change visibility for
+// patch construction and for the input-untouched pre-pass over change
+// groups; a one-cell-update group's pre-pass is cellTouched, which
+// FuzzSingleCellInputTouched holds to the same predicates.
 func visibleAfter(ca *compiledAlias, table string, row int, baseRow []relational.Value, changes []CellChange) bool {
 	for pi := range ca.preds {
 		pa := &ca.preds[pi]

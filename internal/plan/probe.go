@@ -315,13 +315,16 @@ func (p *Plan) inputTouched(changes []CellChange) bool {
 		if !firstOfGroup {
 			continue
 		}
-		ca0 := p.aliases[tableAliases[0]]
-		if c.Row < 0 || c.Row >= len(ca0.baseTableRows) {
+		if c.Op == relational.OpCellUpdate && !rowChangedAgain(changes, i) {
+			// A one-cell-update group: ProbeCell's visibility rule.
+			if p.cellTouched(tableAliases, c.Row, c.Col, c.New) {
+				return true
+			}
 			continue
 		}
-		baseRow := ca0.baseTableRows[c.Row]
-		if baseRow == nil {
-			continue // slot already dead in the base
+		ca0 := p.aliases[tableAliases[0]]
+		if c.Row < 0 || c.Row >= len(ca0.baseTableRows) || ca0.baseTableRows[c.Row] == nil {
+			continue // out of range, or a slot already dead in the base
 		}
 		if groupHasDelete(changes, c.Table, c.Row) {
 			for _, ai := range tableAliases {
@@ -339,12 +342,100 @@ func (p *Plan) inputTouched(changes []CellChange) bool {
 			if _, inScan := ca.scanPos(c.Row); inScan {
 				return true // visible before the change (bare scans always)
 			}
-			if visibleAfter(ca, c.Table, c.Row, baseRow, changes) {
+			// Each alias reads its own base row: a rebase shares an alias
+			// untouched when only columns it never reads changed, so its
+			// rows may be stale in another alias's predicate columns.
+			if visibleAfter(ca, c.Table, c.Row, ca.baseTableRows[c.Row], changes) {
 				return true // visible after the change
 			}
 		}
 	}
 	return false
+}
+
+// rowChangedAgain reports whether a non-insert change after changes[i]
+// shares its (table, row) group.
+func rowChangedAgain(changes []CellChange, i int) bool {
+	c := &changes[i]
+	for j := i + 1; j < len(changes); j++ {
+		if changes[j].Op != relational.OpRowInsert &&
+			changes[j].Table == c.Table && changes[j].Row == c.Row {
+			return true
+		}
+	}
+	return false
+}
+
+// cellTouched is the single definition of single-cell visibility: it
+// reports whether updating cell (row, col) of the table scanned by the
+// given aliases to v — the only change to that row — touches any alias
+// scan. An alias that never reads col cannot tell the row versions apart;
+// a row in the scan is touched; a row outside it is touched only when it
+// passes every predicate after the change. Predicates on col are tested
+// against v first, and the base row is read only when they pass: a row
+// outside the scan whose changed column carries no predicate still fails
+// the predicate that kept it out. Rows out of range or tombstoned are in
+// no scan (bare scans never hold tombstones) and fail passesWithCell, so
+// they touch nothing.
+func (p *Plan) cellTouched(tableAliases []int, row, col int, v relational.Value) bool {
+	for _, ai := range tableAliases {
+		ca := p.aliases[ai]
+		if col < 0 || col >= len(ca.usedCols) || !ca.usedCols[col] {
+			continue // old and new row versions are indistinguishable
+		}
+		if _, inScan := ca.scanPos(row); inScan {
+			return true // visible before the change (bare scans always)
+		}
+		if ca.passesWithCell(row, col, v) {
+			return true // visible after the change
+		}
+	}
+	return false
+}
+
+// passesWithCell reports whether a row outside the alias's scan passes
+// its predicates once cell col holds v. Only a predicate on col can have
+// kept the row out and now let it in, so the other columns' predicates
+// read the base row only after col's predicates accept v.
+func (ca *compiledAlias) passesWithCell(row, col int, v relational.Value) bool {
+	onCol := false
+	for pi := range ca.preds {
+		if pa := &ca.preds[pi]; pa.col == col {
+			if !pa.pred.Matches(v) {
+				return false
+			}
+			onCol = true
+		}
+	}
+	if !onCol || row < 0 || row >= len(ca.baseTableRows) {
+		return false
+	}
+	baseRow := ca.baseTableRows[row]
+	if baseRow == nil {
+		return false // tombstoned slot: invisible either way
+	}
+	for pi := range ca.preds {
+		if pa := &ca.preds[pi]; pa.col != col && !pa.pred.Matches(baseRow[pa.col]) {
+			return false
+		}
+	}
+	return true
+}
+
+// ProbeCell is ProbeDeltaArena for a neighbor that is exactly one cell
+// update — table[row][col] becomes v — taking the change's fields rather
+// than a change list, so a caller holding them in a compact record never
+// touches the neighbor's own delta slice. Pruning rule 2 is cellTouched;
+// only a change that touches some scan is built into a one-change batch
+// in the arena a, which must be non-nil, and handed to the probe body.
+func (p *Plan) ProbeCell(table string, row, col int, v relational.Value, a *Arena) ProbeResult {
+	if !p.cellTouched(p.aliasesOf(table), row, col, v) {
+		return ProbeResult{Outcome: Unchanged, InputUntouched: true}
+	}
+	a.cell[0] = CellChange{Table: table, Row: row, Col: col, New: v}
+	pr := p.probeTouched(a.cell[:], a)
+	a.cell[0] = CellChange{} // an idle arena pins no value
+	return pr
 }
 
 // ProbeDelta is Probe with attribution, for callers that report pruning
@@ -370,6 +461,12 @@ func (p *Plan) ProbeDeltaArena(changes []CellChange, a *Arena) ProbeResult {
 		// The query's input relations are byte-identical.
 		return ProbeResult{Outcome: Unchanged, InputUntouched: true}
 	}
+	return p.probeTouched(changes, a)
+}
+
+// probeTouched is the probe body for a normalized batch that touches the
+// query's input: patches, delta enumeration and the mode's decision.
+func (p *Plan) probeTouched(changes []CellChange, a *Arena) ProbeResult {
 	if p.noProbe || p.mode == modeFullOnly {
 		return ProbeResult{Outcome: NeedFullEval} // patches would go unread
 	}

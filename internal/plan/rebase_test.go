@@ -271,3 +271,55 @@ func TestMinMaxTieDecisionsAreExact(t *testing.T) {
 		checkProbe(t, db, p, []CellChange{tc.ch})
 	}
 }
+
+// TestRebasedRule2ReadsEachAliasRow pins rule 2 on a rebased self-join. A
+// base update moves a row out of alias b's scan by changing a column alias
+// a never reads, so the rebase shares a with the predecessor's rows. A
+// neighbor writing that row must then get the same verdict, attribution
+// included, from the rebased plan as from a fresh compile: each alias's
+// predicates read that alias's own base row.
+func TestRebasedRule2ReadsEachAliasRow(t *testing.T) {
+	s := relational.NewTable(relational.NewSchema("S",
+		relational.Column{Name: "K", Kind: relational.KindInt},
+		relational.Column{Name: "V", Kind: relational.KindInt},
+		relational.Column{Name: "W", Kind: relational.KindInt},
+		relational.Column{Name: "X", Kind: relational.KindInt},
+	))
+	s.Append(relational.Int(1), relational.Int(10), relational.Int(1), relational.Int(1))
+	s.Append(relational.Int(1), relational.Int(10), relational.Int(2), relational.Int(2))
+	db := relational.NewDatabase()
+	db.AddTable(s)
+	q := &relational.SelectQuery{Name: "self-join", Tables: []string{"S", "S"}, Aliases: []string{"a", "b"},
+		Joins:  []relational.JoinCond{{Left: ref("a", "K"), Right: ref("b", "K")}},
+		Where:  []relational.Predicate{{Col: ref("b", "V"), Op: relational.OpGe, Val: relational.Int(5)}},
+		Select: []relational.ColRef{ref("b", "W"), ref("b", "X")}}
+	p, err := Compile(db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd := []CellChange{{Table: "S", Row: 0, Col: 1, New: relational.Int(1)}} // row 0 leaves b's scan
+	next, err := db.Apply(upd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebased, ok := p.Rebase(next, upd, nil)
+	if !ok {
+		t.Fatal("rebase refused a cell update")
+	}
+	if rebased.aliases[0] != p.aliases[0] {
+		t.Fatal("fixture: alias a should be shared across the rebase")
+	}
+	fresh, err := Compile(next, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nb := range [][]CellChange{
+		{{Table: "S", Row: 0, Col: 2, New: relational.Int(7)}},
+		{{Table: "S", Row: 0, Col: 2, New: relational.Int(7)}, {Table: "S", Row: 0, Col: 3, New: relational.Int(7)}},
+	} {
+		got, want := rebased.ProbeDelta(nb), fresh.ProbeDelta(nb)
+		if got != want || !want.InputUntouched {
+			t.Fatalf("%+v: rebased plan %+v, fresh compile %+v (want input untouched)", nb, got, want)
+		}
+	}
+}

@@ -4,9 +4,10 @@ package support
 // renumbers a table's slots, and — unlike an update, which never moves a
 // delta's coordinates — that re-homes the support set: each neighbor's
 // deltas are slot-addressed, the shard partition hashes those slots
-// (shardOfNeighbor), and every inverted footprint index lists neighbors
-// the partition placed. Compact therefore rebuilds the partition and
-// indexes from the remapped deltas (the explicit contrast with Advance,
+// (shardOfNeighbor), and every shard's footprint postings and cell-update
+// records list neighbors the partition placed (the records carry the
+// rows themselves). Compact therefore rebuilds the partition, postings
+// and records from the remapped deltas (the explicit contrast with Advance,
 // which shares both). Compiled plans are not carried across: the
 // successor starts with an empty plan cache, exactly as a newly built set
 // does, and recompiles each plan on first use. A compaction never changes
@@ -93,7 +94,7 @@ func RemapNeighbors(neighbors []Neighbor, maps *relational.SlotMap) ([]Neighbor,
 // Compact returns the support set re-rooted at newDB — the snapshot a
 // compaction with slot map maps produced from the set's current database
 // — with every neighbor's delta coordinates re-homed, the shard
-// partition and footprint indexes rebuilt from them, and an empty plan
+// partition, postings and cell records rebuilt from them, and an empty plan
 // cache. The receiver is never modified and keeps serving the
 // uncompacted snapshot with its plans; conflict sets on
 // the compacted set are byte-identical to those of a fresh Set built over
@@ -105,9 +106,9 @@ func (s *Set) Compact(newDB *relational.Database, maps *relational.SlotMap) (*Se
 		Neighbors: neighbors,
 		Shards:    s.Shards,
 	}
-	// Partition and footprint indexes must be rebuilt — the slots their
-	// hashes and listings are built on just moved. ensureShards does both
-	// from the remapped neighbors, and creates the fresh plan cache.
+	// Partition, postings and cell records must be rebuilt — the slots
+	// they are built on just moved. ensureShards builds all three from the
+	// remapped neighbors, and creates the fresh plan cache.
 	ns.ensureShards()
 	return ns, CompactStats{
 		NeighborsRemapped: remapped,

@@ -7,6 +7,7 @@ package support_test
 // These tests randomize seeds and delta widths and run under -race in CI.
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -147,6 +148,134 @@ func TestShardedSetConcurrentUse(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// mixedNeighbors builds a support set of n neighbors over db mixing every
+// delta shape the scan distinguishes: one cell update (the compact-record
+// path), two cell updates, one row insert and one row delete (both on
+// the delta-list path), shuffled so every shard holds each shape.
+func mixedNeighbors(t *testing.T, db *relational.Database, n int, rng *rand.Rand) []support.Neighbor {
+	t.Helper()
+	single := generateSharded(t, db, n*6/10, 61, 1, 1).Neighbors
+	double := generateSharded(t, db, n*3/10, 62, 2, 1).Neighbors
+	out := append(append([]support.Neighbor(nil), single...), double...)
+	names := db.TableNames()
+	for i := 0; len(out) < n; i++ {
+		tn := names[rng.Intn(len(names))]
+		tab := db.Table(tn)
+		if i%2 == 0 {
+			vals := make([]relational.Value, len(tab.Schema.Cols))
+			for ci, c := range tab.Schema.Cols {
+				domain := db.ActiveDomain(tn, c.Name)
+				vals[ci] = domain[rng.Intn(len(domain))]
+			}
+			out = append(out, support.Neighbor{Deltas: []support.Delta{relational.RowInsert(tn, vals...)}})
+			continue
+		}
+		row := rng.Intn(len(tab.Rows))
+		out = append(out, support.Neighbor{Deltas: []support.Delta{relational.RowDelete(tn, row)}})
+	}
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+// TestMixedShapesMatchReference runs the scan over every neighbor shape at
+// once, after a compaction left some deltas at the Row = -1 sentinel,
+// with |S| not a multiple of the 64-bit candidate words: at every shard
+// count, ConflictSet and BuildHypergraph equal the DisablePruning
+// reference (full evaluation of every pair), and the build Stats do not
+// depend on the shard count.
+func TestMixedShapesMatchReference(t *testing.T) {
+	const size = 1037
+	db, qs := equivalenceScenario(t, "skewed")
+	rng := rand.New(rand.NewSource(5))
+	neighbors := mixedNeighbors(t, db, size, rng)
+
+	// Delete the rows the first neighbors write, then compact: their
+	// deltas re-home to Row -1.
+	var deletes []support.Delta
+	hit := map[[2]interface{}]bool{}
+	for _, nb := range neighbors {
+		d := nb.Deltas[0]
+		key := [2]interface{}{d.Table, d.Row}
+		if d.Op != relational.OpCellUpdate || hit[key] {
+			continue
+		}
+		hit[key] = true
+		deletes = append(deletes, relational.RowDelete(d.Table, d.Row))
+		if len(deletes) == 12 {
+			break
+		}
+	}
+	delDB, err := db.Apply(deletes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := delDB.PlanCompaction(nil)
+	if err != nil || len(specs) == 0 {
+		t.Fatalf("PlanCompaction: specs=%d err=%v", len(specs), err)
+	}
+	newDB, maps, err := delDB.Compact(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var ref *support.Set
+	var wantStats *support.Stats
+	var want [][]int
+	for _, k := range []int{1, 2, 7} {
+		pre := &support.Set{DB: db, Neighbors: neighbors, Shards: k}
+		adv, _ := pre.Advance(delDB, deletes)
+		set, cst := adv.Compact(newDB, maps)
+		if cst.DeltasDropped == 0 {
+			t.Fatal("compaction left no delta at Row -1")
+		}
+		if ref == nil {
+			ref = &support.Set{DB: newDB, Neighbors: set.Neighbors}
+			h, _, err := support.BuildHypergraph(ref, qs, support.BuildOptions{DisablePruning: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range qs {
+				want = append(want, h.Edge(i).Items)
+			}
+		}
+		h, st, err := support.BuildHypergraph(set, qs, support.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([][]int, len(qs))
+		for i := range qs {
+			got[i] = h.Edge(i).Items
+		}
+		assertSameConflictSets(t, "BuildHypergraph", qs, got, want)
+		assertSameConflictSets(t, "ConflictSet", qs, conflictSets(t, set, qs), want)
+		if wantStats == nil {
+			wantStats = st
+			if pairs := st.PrunedByCols + st.PrunedByPred + st.DeltaProbes + st.Fallbacks; pairs != len(qs)*size {
+				t.Fatalf("Stats %+v account for %d pairs, want %d", *st, pairs, len(qs)*size)
+			}
+		} else if *st != *wantStats {
+			t.Fatalf("K=%d: Stats %+v, want the single-shard %+v", k, *st, *wantStats)
+		}
+	}
+	// Every shape must reach a verdict somewhere, or the set proves little.
+	conflicting := map[string]bool{}
+	for _, items := range want {
+		for _, ni := range items {
+			nb := ref.Neighbors[ni]
+			shape := string(nb.Deltas[0].Op)
+			if len(nb.Deltas) == 2 {
+				shape = "two cells"
+			}
+			conflicting[shape] = true
+		}
+	}
+	for _, shape := range []string{"", "two cells", string(relational.OpRowInsert), string(relational.OpRowDelete)} {
+		if !conflicting[shape] {
+			t.Errorf("no neighbor of shape %q conflicts with any query", shape)
 		}
 	}
 }

@@ -24,14 +24,16 @@
 // because evaluation accumulates them in canonical order.
 //
 // A Set owns one compiled-plan cache. Its neighbors are partitioned into
-// shards (shard.go), each owning an inverted footprint index over its
-// neighbors' deltas and a pooled probe scratch (a plan.Arena), so warm
-// probes allocate nothing. A query's conflicts on one shard are computed
-// one way for every caller: rule 1 from the shard's footprint index, then
-// one delta probe per surviving neighbor. BuildHypergraph schedules shard
-// × query tiles of that computation over a bounded worker pool, and the
-// online ConflictSet path probes a single query's shards in the calling
-// goroutine, merging the per-shard ascending lists with one sort.
+// shards (shard.go), each owning footprint posting lists over its
+// neighbors' deltas, compact records of its one-cell-update neighbors and
+// a pooled probe scratch (a plan.Arena), so warm probes allocate nothing.
+// A query's conflicts on one shard are computed one way for every caller:
+// rule 1 as a bitset union of the shard's postings, then one delta probe
+// per surviving neighbor, whose rule-2 pre-pass settles most of them.
+// BuildHypergraph schedules shard × query tiles of that computation over
+// a bounded worker pool, and the online ConflictSet path probes a single
+// query's shards in the calling goroutine, merging the per-shard
+// ascending lists with one sort.
 // Nothing in this package mutates the base database, so any number of
 // goroutines may compute conflict sets over the same Set concurrently,
 // and results are byte-identical at every shard count.
@@ -60,11 +62,11 @@ type Neighbor struct {
 
 // Set is a generated support set over a base database. It owns one
 // compiled-plan cache and is partitioned into shards (see shard.go): each
-// shard owns a deterministic subset of the neighbors and an inverted
-// footprint index over their deltas. Shard state and the cache are
-// initialized lazily on first use, so literal construction
-// (&Set{DB: ..., Neighbors: ...}) remains valid; set Shards before the
-// first plan or conflict-set computation.
+// shard owns a deterministic subset of the neighbors, footprint postings
+// over their deltas and compact records of its one-cell-update neighbors.
+// Shard state and the cache are initialized lazily on first use, so
+// literal construction (&Set{DB: ..., Neighbors: ...}) remains valid; set
+// Shards before the first plan or conflict-set computation.
 type Set struct {
 	DB        *relational.Database
 	Neighbors []Neighbor
@@ -233,8 +235,12 @@ func perturb(rng *rand.Rand, cur relational.Value, domain []relational.Value) re
 // view returns a database equal to the base with the neighbor's deltas
 // applied, without mutating the base: untouched tables (and the rows of
 // touched tables) are shared, only the containing row slices and changed
-// rows are copied. The view is safe to evaluate queries against while
-// other goroutines read the base database.
+// rows are copied. The deltas are read the way a delta probe reads them:
+// inserts land at the table's slot count plus k in delta order (a
+// malformed one holds its slot but no row), deletes tombstone their slot,
+// and cell updates then write the live rows in order; coordinates that
+// name no live row or column are vacuous. The view is safe to evaluate
+// queries against while other goroutines read the base database.
 func (s *Set) view(nb *Neighbor) *relational.Database {
 	byTable := make(map[string][]Delta, 1)
 	for _, d := range nb.Deltas {
@@ -251,16 +257,31 @@ func (s *Set) view(nb *Neighbor) *relational.Database {
 		t := relational.NewTable(src.Schema)
 		t.Rows = make([][]relational.Value, len(src.Rows))
 		copy(t.Rows, src.Rows)
-		copied := make(map[int]bool, len(deltas))
+		width := len(src.Schema.Cols)
+		fresh := make(map[int]bool, len(deltas)) // slots whose row the view owns
 		for _, d := range deltas {
-			if d.Row < 0 || d.Row >= len(src.Rows) || src.Rows[d.Row] == nil {
-				continue // delta on a row the base deleted: vacuous now
+			if d.Op == relational.OpRowInsert {
+				var row []relational.Value
+				if len(d.Vals) == width {
+					row = append([]relational.Value(nil), d.Vals...)
+					fresh[len(t.Rows)] = true
+				}
+				t.Rows = append(t.Rows, row)
 			}
-			if !copied[d.Row] {
-				row := make([]relational.Value, len(src.Rows[d.Row]))
-				copy(row, src.Rows[d.Row])
-				t.Rows[d.Row] = row
-				copied[d.Row] = true
+		}
+		for _, d := range deltas {
+			if d.Op == relational.OpRowDelete && d.Row >= 0 && d.Row < len(t.Rows) {
+				t.Rows[d.Row] = nil
+			}
+		}
+		for _, d := range deltas {
+			if d.Op != relational.OpCellUpdate || d.Row < 0 || d.Row >= len(t.Rows) ||
+				t.Rows[d.Row] == nil || d.Col < 0 || d.Col >= width {
+				continue // vacuous: no live row or column to write
+			}
+			if !fresh[d.Row] {
+				t.Rows[d.Row] = append([]relational.Value(nil), t.Rows[d.Row]...)
+				fresh[d.Row] = true
 			}
 			t.Rows[d.Row][d.Col] = d.New
 		}
@@ -302,42 +323,48 @@ func (st *Stats) add(o Stats) {
 	st.Fallbacks += o.Fallbacks
 }
 
-// decidePair resolves one (plan, neighbor) pair, lazily materializing the
-// overlay view for fallbacks (the caller decides how far a view is
-// shared). In the default mode the caller has already established rule 1
-// through a shard's inverted footprint index (shard.candidates); only the
-// DisableIncremental reference mode checks it per pair. The arena supplies
-// all probe scratch (nil borrows from the plan package's pool).
-func decidePair(set *Set, p *plan.Plan, nb *Neighbor, opts BuildOptions, view **relational.Database, arena *plan.Arena, st *Stats) (bool, error) {
+// decidePair resolves one (plan, neighbor) pair in a reference mode,
+// lazily materializing the overlay view (the caller decides how far a
+// view is shared): DisableIncremental checks rule 1 and rule 2 per pair
+// and fully evaluates every survivor, DisablePruning fully evaluates
+// every pair. The default mode decides pairs in shard.conflicts instead.
+func decidePair(set *Set, p *plan.Plan, nb *Neighbor, opts BuildOptions, view **relational.Database, st *Stats) (bool, error) {
 	if !opts.DisablePruning {
-		if opts.DisableIncremental {
-			if !p.TouchesChanges(nb.Deltas) {
-				st.PrunedByCols++
-				return false, nil
-			}
-			if p.LocallyPruned(nb.Deltas) {
-				st.PrunedByPred++
-				return false, nil
-			}
-		} else {
-			// The probe subsumes rule 2: an untouched-input verdict is
-			// exactly the local-predicate prune.
-			pr := p.ProbeDeltaArena(nb.Deltas, arena)
-			if pr.InputUntouched {
-				st.PrunedByPred++
-				return false, nil
-			}
-			switch pr.Outcome {
-			case plan.Unchanged:
-				st.DeltaProbes++
-				return false, nil
-			case plan.Changed:
-				st.DeltaProbes++
-				return true, nil
-			}
-			st.Fallbacks++
+		if !p.TouchesChanges(nb.Deltas) {
+			st.PrunedByCols++
+			return false, nil
+		}
+		if p.LocallyPruned(nb.Deltas) {
+			st.PrunedByPred++
+			return false, nil
 		}
 	}
+	return evalPair(set, p, nb, view, st)
+}
+
+// settleProbe turns a rule-1 candidate's probe result into its verdict,
+// counting it in st: an untouched input is the local-predicate prune,
+// and a probe that cannot decide falls back to full evaluation.
+func settleProbe(set *Set, p *plan.Plan, nb *Neighbor, pr plan.ProbeResult, view **relational.Database, st *Stats) (bool, error) {
+	if pr.InputUntouched {
+		st.PrunedByPred++
+		return false, nil
+	}
+	switch pr.Outcome {
+	case plan.Unchanged:
+		st.DeltaProbes++
+		return false, nil
+	case plan.Changed:
+		st.DeltaProbes++
+		return true, nil
+	}
+	st.Fallbacks++
+	return evalPair(set, p, nb, view, st)
+}
+
+// evalPair evaluates the query on the neighbor's overlay view (built on
+// first use) and compares the answer with the base answer.
+func evalPair(set *Set, p *plan.Plan, nb *Neighbor, view **relational.Database, st *Stats) (bool, error) {
 	if *view == nil {
 		*view = set.view(nb)
 	}
@@ -426,8 +453,8 @@ func BuildHypergraph(set *Set, queries []*relational.SelectQuery, opts BuildOpti
 
 	// Phase 2: shard × query-tile jobs. In the default mode a job runs the
 	// quote path (shard.conflicts) for every query of one contiguous tile
-	// against one shard, so rule 1 comes from the shard's inverted
-	// footprint index alone. The full-re-evaluation reference modes
+	// against one shard, so rule 1 comes from the shard's footprint
+	// postings alone. The full-re-evaluation reference modes
 	// instead chunk each shard's neighbors with one query span and decide
 	// every pair directly, so every neighbor's copy-on-write overlay view
 	// is materialized at most once.
@@ -504,7 +531,7 @@ func BuildHypergraph(set *Set, queries []*relational.SelectQuery, opts BuildOpti
 						nb := &set.Neighbors[gi]
 						var view *relational.Database
 						for qi := lo; qi < hi; qi++ {
-							ok, err := decidePair(set, plans[qi], nb, opts, &view, nil, &local)
+							ok, err := decidePair(set, plans[qi], nb, opts, &view, &local)
 							if err != nil {
 								fail(fmt.Errorf("%w (neighbor %d)", err, gi))
 								break

@@ -8,10 +8,10 @@ package support
 // the old snapshot keep their set, caches and plans — and defers all
 // compiled-state maintenance:
 //
-//   - the shards — the partition and every shard's inverted footprint
-//     index — are shared outright: both depend only on each neighbor's
-//     delta coordinates ((table, row, col) footprints), which an update
-//     never moves, so no neighbor is ever re-homed by a base-data change —
+//   - the shards — the partition and every shard's footprint postings and
+//     cell-update records — are shared outright: they depend only on the
+//     neighbors' deltas (their (table, row, col) footprints and new
+//     values), which an update never moves, so no neighbor is ever re-homed by a base-data change —
 //     a deliberate property of footprint-based sharding;
 //   - the set's plan cache advances lazily, and with it the bare-scan
 //     index pool it owns (plan.Cache.Advance): the change batch is

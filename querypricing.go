@@ -49,10 +49,10 @@
 // calibrated pricing lives in an immutable snapshot behind an atomic
 // pointer, Quote is a lock-free read, Calibrate rebuilds off to the side
 // over the read-only sharded support set and publishes with one pointer
-// swap, QuoteBatch fans a batch across a bounded worker pool, each quote
-// fans its conflict-set computation across the support shards, and
-// conflict sets are memoized in a bounded LRU keyed by the query's
-// canonical SQL rendering. The seller's data may evolve while the market
+// swap, and QuoteBatch fans a batch across a bounded worker pool. Each
+// quote computes its conflict set afresh in the calling goroutine,
+// walking the support shards in turn over the query's cached compiled
+// plan. The seller's data may evolve while the market
 // serves: Broker.Update applies cell changes and atomically publishes a
 // new database version with cached plans delta-maintained; quotes and
 // receipts pin the version they were priced at (docs/UPDATES.md).
