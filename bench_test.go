@@ -421,9 +421,11 @@ func BenchmarkConflictSet(b *testing.B) {
 
 // BenchmarkUpdateRequote tracks the live-update path (docs/UPDATES.md).
 // "update1" and "update16" measure Broker.Update end to end — Apply,
-// IndexPool.Advance, and the rebase of every cached plan (the broker is
-// calibrated from the full skewed workload first, so ~1000 plans are live)
-// — for 1- and 16-cell batches. "requote" measures a warm single-query
+// IndexPool.Advance (which carries the untouched bare-scan indexes), the
+// pending-log append that defers every cached plan's rebase to its first
+// use, and the eager drain of every MaxPendingBatches-th update (the
+// broker is calibrated from the full skewed workload first, so ~1000
+// plans are live) — for 1- and 16-cell batches. "requote" measures a warm single-query
 // quote against a broker that just absorbed an update: delta-maintained
 // plans must keep the warm path warm, so this should track the plain warm
 // ConflictSet numbers. Every quote pays real conflict-set computation.

@@ -2,8 +2,9 @@ package market
 
 // Allocation-regression guard for Broker.Update. With generation-shared
 // plan-cache entries an update's cost is O(changes): Advance appends the
-// change batch to each shard cache's shared pending log and copies only
-// O(1) generation metadata, no matter how many plans are live. This test
+// change batch to the support set's one pending log, carries the index
+// pool's untouched bare-scan indexes by reference and copies only O(1)
+// generation metadata, no matter how many plans are live. This test
 // pins that property the way the requote guard pins the quote path — by
 // ceiling the allocations of a 1-cell update against a broker holding the
 // full skewed workload's compiled plans (~1000 of them).
@@ -22,10 +23,11 @@ import (
 // updateAllocCeiling is the allocs-per-op budget of a single-cell
 // Broker.Update averaged across cap-triggered amortized drains (every
 // MaxPendingBatches-th update eagerly folds the whole cache, so the
-// average is what the ceiling must cover). Measured ~220 with the
-// generation-shared cache; the pre-change per-plan copy cost thousands,
-// so the ceiling separates the regimes with room to spare.
-const updateAllocCeiling = 500
+// average is what the ceiling must cover). Measured ~112 with the
+// generation-shared cache and a pool that keeps no change log of its own;
+// a per-plan copy costs thousands, so the ceiling separates the regimes
+// with room to spare.
+const updateAllocCeiling = 250
 
 // TestUpdateAllocCeiling guards Update's O(changes) allocation profile
 // over a broker with the full skewed workload live (~1000 cached plans).

@@ -16,39 +16,29 @@ import (
 const DefaultCacheSize = 4096
 
 // MaxPendingBatches caps the pending change-batch log a lazily advanced
-// Cache or IndexPool carries. When an Advance would push the log past the
-// cap, the successor drains eagerly (every stale entry is folded up to the
-// new snapshot) and starts from an empty log — so sustained write-heavy
-// feeds pay one coalesced rebase per cap-full of batches instead of one
-// per batch, and the log never grows without bound.
+// Cache's lineage carries. When an Advance would push the log past the
+// cap, the successor drains eagerly (every stale plan is folded up to the
+// new snapshot) and trims the log to what the slots still need — so
+// sustained write-heavy feeds pay one coalesced rebase per cap-full of
+// batches instead of one per batch, and the log never grows without bound.
 const MaxPendingBatches = 64
 
-// ChangeBatch is one applied update batch in a pending log: the changes
-// (cell updates, row inserts, row deletes) that carried the base database
-// from version ToVersion-1 to ToVersion. Pool logs additionally capture
-// pre-change values (Old, OldRows) at Advance time, so a pending log
-// never pins predecessor database snapshots alive.
+// ChangeBatch is one applied update batch in a cache lineage's pending
+// log: the changes (cell updates, row inserts, row deletes) that carried
+// the base database from version ToVersion-1 to ToVersion. Rebase needs no
+// pre-change values, so the log keeps none.
 type ChangeBatch struct {
 	// ToVersion is the database version the batch produced.
 	ToVersion uint64
 	// Changes is the batch's change list, in application order.
 	Changes []relational.CellChange
-	// Old holds, index-aligned with Changes, each cell update's value in
-	// the predecessor snapshot. Only the IndexPool's lazy index patcher
-	// reads it; cache logs leave it nil (Rebase needs no pre-change
-	// values).
-	Old []relational.Value
-	// OldRows holds, index-aligned with Changes, each row delete's full
-	// predecessor row (the patcher must unindex every column's old value).
-	// nil when the batch deletes nothing; non-delete entries are nil.
-	OldRows [][]relational.Value
 }
 
 // coalesceRange concatenates, in order, the changes of every pending batch
-// in the half-open version window (fromVersion, toVersion]. Rebase and the
-// index patcher both consolidate with last-wins-per-cell semantics, so the
-// concatenation is exactly the composite change set carrying a plan from
-// fromVersion to toVersion — N deferred batches fold into one rebase pass.
+// in the half-open version window (fromVersion, toVersion]. Rebase
+// consolidates with last-wins-per-cell semantics, so the concatenation is
+// exactly the composite change set carrying a plan from fromVersion to
+// toVersion — N deferred batches fold into one rebase pass.
 // The upper bound matters now that the log is shared across cache
 // generations: it may already hold batches newer than the generation a
 // stale plan is being folded toward.
@@ -143,21 +133,16 @@ func consolidateWindow(changes []relational.CellChange) []relational.CellChange 
 // adopt the shared slices and maps read-only, and a plan that must patch a
 // shared index at rebase clones it first (patchFilteredAlias).
 //
-// Pools advance lazily across base-database updates: Advance appends the
-// change batch to a pending log instead of patching anything, and a bare
-// index is folded up to the pool's snapshot on its first post-update get —
-// all deferred batches coalesced into one patch pass per (table, column).
-// Filtered scans, their indexes and sorted orders are not carried: the
-// successor rebuilds each on first use.
+// A pool serves exactly one snapshot. Advance carries to the successor
+// only the bare-scan indexes the update batch leaves exact; every other
+// artifact is rebuilt on its first use against the successor.
 type IndexPool struct {
 	mu      sync.Mutex
 	db      *relational.Database // the snapshot this pool serves
-	version uint64               // == db.Version()
-	m       map[indexPoolKey]*poolEntry
+	bare    map[indexPoolKey]map[uint64][]int32
 	scans   map[scanPoolKey]scanEntry
 	scanIdx map[scanIndexKey]map[uint64][]int32
 	sorted  map[indexPoolKey][]int32
-	pending []ChangeBatch // batches not yet folded into every entry
 }
 
 type indexPoolKey struct {
@@ -191,21 +176,11 @@ type scanEntry struct {
 	pos  []int32
 }
 
-// poolEntry is one published bare-scan index together with the database
-// version it reflects. Entries are immutable once published; a lazy patch
-// replaces the entry, never mutates it, so pools for older snapshots that
-// share the entry keep serving their version.
-type poolEntry struct {
-	idx     map[uint64][]int32
-	version uint64
-}
-
 // NewIndexPool returns an empty pool for plans compiled against db.
 func NewIndexPool(db *relational.Database) *IndexPool {
 	return &IndexPool{
 		db:      db,
-		version: db.Version(),
-		m:       make(map[indexPoolKey]*poolEntry),
+		bare:    make(map[indexPoolKey]map[uint64][]int32),
 		scans:   make(map[scanPoolKey]scanEntry),
 		scanIdx: make(map[scanIndexKey]map[uint64][]int32),
 		sorted:  make(map[indexPoolKey][]int32),
@@ -213,212 +188,44 @@ func NewIndexPool(db *relational.Database) *IndexPool {
 }
 
 // Advance returns a pool for the successor snapshot newDB (the receiver's
-// database with changes applied). Nothing is patched up front: every
-// published index is shared with the receiver and the batch is appended to
-// the successor's pending log; an index touched by deferred batches is
-// patched — one coalesced pass over all of them — the first time the
-// successor's get needs it. The receiver keeps serving the predecessor
-// snapshot unmodified. When the pending log would exceed MaxPendingBatches
-// the successor folds every entry eagerly and starts from an empty log.
+// database with changes applied). A bare-scan index is carried over,
+// shared with the receiver, only when the batch has no cell update in its
+// (table, column) and no insert or delete in its table: every cell it
+// hashed is then unchanged, so it is exactly the successor's index. Every
+// other bare-scan index is rebuilt by hashRows on its first get. Filtered
+// scans, their indexes and sorted orders are never carried: membership
+// and row contents may both have moved, and the successor's first compile
+// per predicate rescans — the same cost an unshared compile pays. The
+// receiver keeps serving its own snapshot unmodified.
 func (p *IndexPool) Advance(newDB *relational.Database, changes []relational.CellChange) *IndexPool {
-	// Filtered scans, their indexes and sorted orders are not carried
-	// across snapshots: a stale entry is useless (membership and row
-	// contents may both have moved), and the successor's first compile per
-	// predicate rescans — the same cost an unshared compile pays.
 	np := NewIndexPool(newDB)
-	// Capture each valid change's pre-change state now, from the
-	// receiver's snapshot, so the pending log carries plain values instead
-	// of keeping whole predecessor databases reachable: a cell update's
-	// old value, a delete's full old row (one immutable row slice, not the
-	// whole database), and for inserts the concrete slot Apply assigns
-	// (base slot count plus inserts already seen for the table). Invalid
-	// coordinates (which Apply rejects upstream anyway) are dropped here,
-	// exactly as the patcher used to skip them.
-	cs := make([]relational.CellChange, 0, len(changes))
-	old := make([]relational.Value, 0, len(changes))
-	var oldRows [][]relational.Value // lazily built: nil until a delete is kept
-	var insertsSeen map[string]int
+	// Column -1 stands for the whole table: an insert or delete moves a
+	// row in every column.
+	touched := make(map[indexPoolKey]bool, len(changes))
 	for _, c := range changes {
-		t := p.db.Table(c.Table)
-		if t == nil {
-			continue
+		col := -1
+		if c.Op == relational.OpCellUpdate {
+			col = c.Col
 		}
-		switch c.Op {
-		case relational.OpRowInsert:
-			if insertsSeen == nil {
-				insertsSeen = make(map[string]int)
-			}
-			slot := len(t.Rows) + insertsSeen[c.Table]
-			insertsSeen[c.Table]++
-			if c.Row >= 0 {
-				slot = c.Row // already normalized upstream
-			}
-			c.Row = slot
-			cs = append(cs, c)
-			old = append(old, relational.Value{})
-		case relational.OpRowDelete:
-			if c.Row < 0 || c.Row >= len(t.Rows) || t.Rows[c.Row] == nil {
-				continue
-			}
-			if oldRows == nil {
-				oldRows = make([][]relational.Value, len(cs), cap(cs))
-			}
-			cs = append(cs, c)
-			old = append(old, relational.Value{})
-			oldRows = append(oldRows, t.Rows[c.Row])
-			continue
-		default:
-			if c.Row < 0 || c.Row >= len(t.Rows) || t.Rows[c.Row] == nil || c.Col < 0 || c.Col >= len(t.Rows[c.Row]) {
-				continue
-			}
-			cs = append(cs, c)
-			old = append(old, t.Rows[c.Row][c.Col])
-		}
-		if oldRows != nil {
-			oldRows = append(oldRows, nil) // keep index alignment with cs
-		}
+		touched[indexPoolKey{c.Table, col}] = true
 	}
 	p.mu.Lock()
-	minV := newDB.Version()
-	for key, e := range p.m {
-		np.m[key] = e // published entries are immutable: share
-		if e.version < minV {
-			minV = e.version
+	for key, idx := range p.bare {
+		if !touched[key] && !touched[indexPoolKey{key.table, -1}] {
+			np.bare[key] = idx
 		}
 	}
-	pending := p.pending
 	p.mu.Unlock()
-	// Keep only the batches some shared entry still needs, plus the new one.
-	for _, b := range pending {
-		if b.ToVersion > minV {
-			np.pending = append(np.pending, b)
-		}
-	}
-	np.pending = append(np.pending, ChangeBatch{ToVersion: newDB.Version(), Changes: cs, Old: old, OldRows: oldRows})
-	if len(np.pending) > MaxPendingBatches {
-		for key, e := range np.m {
-			if e.version != np.version {
-				np.m[key] = np.patchEntry(key, e)
-			}
-		}
-		np.pending = nil
-	}
 	return np
 }
 
-// patchEntry folds every pending batch newer than the entry's version into
-// a fresh entry for the pool's snapshot, coalescing all batches that touch
-// the entry's column into one remove/insert pass per row. The receiver's
-// lock may or may not be held — the method touches only immutable batch
-// data and the entry passed in, never p.m.
-func (p *IndexPool) patchEntry(key indexPoolKey, e *poolEntry) *poolEntry {
-	// Coalesce: per touched row, the value the entry currently indexes
-	// when the window opens (absent for rows born inside it) and the final
-	// value when it closes (absent for rows dead at its end). A NULL and
-	// an absent value patch identically — neither carries a posting — so
-	// one Value pair with presence flags covers all three ops.
-	type rowState struct {
-		old, new               relational.Value
-		oldPresent, newPresent bool
-	}
-	var order []int
-	states := make(map[int]*rowState)
-	touch := func(row int) (*rowState, bool) {
-		st, seen := states[row]
-		if !seen {
-			st = &rowState{}
-			states[row] = st
-			order = append(order, row)
-		}
-		return st, seen
-	}
-	for _, b := range p.pending {
-		if b.ToVersion <= e.version {
-			continue
-		}
-		for ci, c := range b.Changes {
-			if c.Table != key.table {
-				continue
-			}
-			switch c.Op {
-			case relational.OpRowInsert:
-				st, _ := touch(c.Row) // born in the window: no old side
-				if key.col < len(c.Vals) {
-					st.new, st.newPresent = c.Vals[key.col], true
-				}
-			case relational.OpRowDelete:
-				st, seen := touch(c.Row)
-				if !seen {
-					// First touch: the entry indexes the predecessor row's
-					// value at this column.
-					if ci < len(b.OldRows) && b.OldRows[ci] != nil && key.col < len(b.OldRows[ci]) {
-						st.old, st.oldPresent = b.OldRows[ci][key.col], true
-					}
-				}
-				st.new, st.newPresent = relational.Value{}, false
-			default:
-				if c.Col != key.col {
-					continue
-				}
-				st, seen := touch(c.Row)
-				if !seen {
-					st.old, st.oldPresent = b.Old[ci], true
-				}
-				st.new, st.newPresent = c.New, true
-			}
-		}
-	}
-	idx := e.idx
-	cloned := false
-	for _, row := range order {
-		st := states[row]
-		ov, nv := st.old, st.new
-		if !st.oldPresent {
-			ov = relational.Null() // absent rows carry no posting, like NULL
-		}
-		if !st.newPresent {
-			nv = relational.Null()
-		}
-		if ov.IsNull() && nv.IsNull() || relational.SameKey(ov, nv) {
-			continue // key encoding unchanged: postings stay valid
-		}
-		if !cloned {
-			idx = cloneIndex(idx)
-			cloned = true
-		}
-		if !ov.IsNull() {
-			removePosting(idx, keyHash(ov), int32(row))
-		}
-		if !nv.IsNull() {
-			insertPosting(idx, keyHash(nv), int32(row))
-		}
-	}
-	return &poolEntry{idx: idx, version: p.version}
-}
-
+// get returns the shared join index on column col of the bare scan of
+// table — rows, the table's slots at the pool's snapshot — hashing it on
+// first use.
 func (p *IndexPool) get(table string, col int, rows [][]relational.Value) map[uint64][]int32 {
-	key := indexPoolKey{table, col}
-	p.mu.Lock()
-	if e, ok := p.m[key]; ok {
-		if e.version != p.version {
-			// First use since an update: fold the deferred batches in.
-			e = p.patchEntry(key, e)
-			p.m[key] = e
-		}
-		idx := e.idx
-		p.mu.Unlock()
-		return idx
-	}
-	p.mu.Unlock()
-	idx := hashRows(rows, col)
-	p.mu.Lock()
-	if prior, ok := p.m[key]; ok && prior.version == p.version {
-		idx = prior.idx // a concurrent builder won; share its copy
-	} else {
-		p.m[key] = &poolEntry{idx: idx, version: p.version}
-	}
-	p.mu.Unlock()
-	return idx
+	return publishOnce(p, p.bare, indexPoolKey{table, col}, func() map[uint64][]int32 {
+		return hashRows(rows, col)
+	})
 }
 
 // publishOnce returns m[key], building and publishing it on first use.
@@ -569,9 +376,10 @@ func Key(q *relational.SelectQuery) string { return q.String() }
 // pool; all entries live in a cacheStore shared by every generation of one
 // Advance chain. Each entry is a versioned slot whose plan only ever moves
 // forward in version, so Advance touches nothing but the shared change
-// log, the lazily advanced pool and O(1) generation metadata — its cost is
-// independent of how many plans are cached — while
-// older generations keep serving their own snapshot (a slot already
+// log, the successor's pool (which carries the untouched bare-scan
+// indexes) and O(1) generation metadata — its cost is independent of how
+// many plans are cached — while older generations keep serving their own
+// snapshot (a slot already
 // upgraded past a generation is answered by a private compilation instead
 // of winding the shared slot back). A plan is rebased on its first
 // post-update use — all deferred batches coalesced into one Rebase pass —
@@ -905,11 +713,13 @@ type AdvanceStats struct {
 
 // Advance returns a cache generation for the successor snapshot newDB
 // (the receiver's database with changes applied), deferring all plan
-// maintenance: the generation's index pool advances lazily
-// (IndexPool.Advance), every entry slot stays shared (nothing is cloned —
-// not the entry map, not the LRU) and the change batch is appended to the
-// shared pending log, so the cost of an update is O(batch) plus O(1)
-// generation metadata, independent of the number of cached plans. Each
+// maintenance: the successor's index pool carries only the bare-scan
+// indexes the batch leaves exact (IndexPool.Advance), every entry slot
+// stays shared (nothing is cloned — not the entry map, not the LRU) and
+// the change batch is appended to the shared pending log — the lineage's
+// one change log — so the cost of an update is O(batch) plus the pool's
+// index count plus O(1) generation metadata, independent of the number of
+// cached plans. Each
 // plan is folded forward — all deferred batches coalesced into one pass —
 // on its first use through the new generation, or recompiled when the
 // composite change escapes delta maintenance; Drain forces the fold-up

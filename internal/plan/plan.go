@@ -1227,8 +1227,9 @@ func relevantToAlias(ca *compiledAlias, table string, row int, changes []CellCha
 // the alias's predicates, evaluating each predicate against the group's
 // last change to that column (or the base value) without materializing
 // the patched row. It is the definition of post-change visibility for
-// patch construction and for the input-untouched pre-pass over change
-// groups; a one-cell-update group's pre-pass is cellTouched, which
+// patch construction, for the input-untouched pre-pass over change groups
+// and for LocallyPruned; a one-cell-update group's pre-pass is
+// cellTouched, which
 // FuzzSingleCellInputTouched holds to the same predicates.
 func visibleAfter(ca *compiledAlias, table string, row int, baseRow []relational.Value, changes []CellChange) bool {
 	for pi := range ca.preds {

@@ -49,12 +49,8 @@ func (p *Plan) LocallyPruned(changes []CellChange) bool {
 			continue
 		}
 		checked[rk] = true
-		if c.Row < 0 || c.Row >= len(ca0.baseTableRows) {
-			continue
-		}
-		baseRow := ca0.baseTableRows[c.Row]
-		if baseRow == nil {
-			continue // slot already dead in the base: invisible either way
+		if c.Row < 0 || c.Row >= len(ca0.baseTableRows) || ca0.baseTableRows[c.Row] == nil {
+			continue // out of range, or a slot already dead in the base
 		}
 		if groupHasDelete(changes, c.Table, c.Row) {
 			for _, ai := range tableAliases {
@@ -64,10 +60,6 @@ func (p *Plan) LocallyPruned(changes []CellChange) bool {
 			}
 			continue
 		}
-		// Post-change row: the base row with every same-row cell applied.
-		patched := make([]relational.Value, len(baseRow))
-		copy(patched, baseRow)
-		overlayCells(patched, c.Table, c.Row, changes)
 		for _, ai := range tableAliases {
 			ca := p.aliases[ai]
 			if ca.bare {
@@ -76,7 +68,10 @@ func (p *Plan) LocallyPruned(changes []CellChange) bool {
 			if _, inScan := ca.scanPos(c.Row); inScan {
 				return false // visible before the change
 			}
-			if ca.passes(patched) {
+			// Each alias reads its own base row: a rebase shares an alias
+			// untouched when only columns it never reads changed, so its
+			// rows may be stale in another alias's predicate columns.
+			if visibleAfter(ca, c.Table, c.Row, ca.baseTableRows[c.Row], changes) {
 				return false // visible after the change
 			}
 		}

@@ -195,22 +195,14 @@ const (
 	recCompact = "compact"
 )
 
-// WAL record schema versions. Fmt 0 (the historical wire form, absent
-// from its JSON) is a cell-update-only record: every change has the zero
-// Op. Fmt 1 records may additionally carry row inserts and deletes.
-// Fmt 2 adds compaction epoch records (kind "compact"), which carry the
-// compaction's specs instead of a change list. Separating the record
-// schema from the record's database Version lets recovery distinguish
-// "a record from before DML existed that somehow carries an op"
-// (corruption or a writer bug — refused) from "a record written by a
-// newer store than this binary" (also refused, with a version number the
-// operator can act on).
-const (
-	walFmtCells   = 0
-	walFmtDML     = 1
-	walFmtCompact = 2
-	walFmtMax     = walFmtCompact
-)
+// walFmt is the WAL record schema version every record is written with.
+// Older stores stamped cell-only update records 0 (absent from their
+// JSON), records carrying row inserts or deletes 1, and compaction epoch
+// records 2; each version only added optional fields, so one decoder reads
+// every stamp up to walFmt. A record stamped above walFmt was written by a
+// newer store than this binary and is refused, with a version number the
+// operator can act on.
+const walFmt = 2
 
 // walRecord is one WAL entry. Update records carry the version the batch
 // produced (base version + 1 at append time), so replay can both order
@@ -222,9 +214,8 @@ type walRecord struct {
 	// exactly when its Seq follows the state built so far.
 	Seq  uint64
 	Kind string
-	// Fmt is the record's schema version (walFmt*). Cell-only update
-	// records stay at 0 and encode byte-identically to the pre-DML store;
-	// records carrying inserts or deletes are stamped walFmtDML.
+	// Fmt is the record's schema version: walFmt for every record this
+	// binary writes, 0 or 1 on records older stores wrote.
 	Fmt     uint64                  `json:",omitempty"`
 	Version uint64                  `json:",omitempty"`
 	Changes []relational.CellChange `json:",omitempty"`
@@ -237,42 +228,16 @@ type walRecord struct {
 	Specs []relational.CompactSpec `json:",omitempty"`
 }
 
-// updateFmt returns the lowest record schema that can carry the batch:
-// walFmtCells unless any change bears a DML op.
-func updateFmt(changes []relational.CellChange) uint64 {
-	for _, c := range changes {
-		if c.Op != relational.OpCellUpdate {
-			return walFmtDML
-		}
-	}
-	return walFmtCells
-}
-
 // validateRecordFmt enforces the record-schema contract on a decoded
-// record: an unknown future format is refused outright, and a fmt-0
-// update record must not carry DML ops (an op in a record that predates
-// ops is corruption or a writer bug, never replayable data).
+// record: an unknown future format is refused outright, and a compact
+// record must carry its specs.
 func validateRecordFmt(rec walRecord) error {
-	if rec.Fmt > walFmtMax {
+	if rec.Fmt > walFmt {
 		return fmt.Errorf("store: record seq %d has format %d, newest this binary understands is %d (written by a newer store?)",
-			rec.Seq, rec.Fmt, uint64(walFmtMax))
+			rec.Seq, rec.Fmt, walFmt)
 	}
-	if rec.Kind == recUpdate && rec.Fmt < walFmtDML {
-		for i, c := range rec.Changes {
-			if c.Op != relational.OpCellUpdate {
-				return fmt.Errorf("store: record seq %d (format %d) carries op %q at change %d; cell-only records must not bear DML",
-					rec.Seq, rec.Fmt, c.Op, i)
-			}
-		}
-	}
-	if rec.Kind == recCompact {
-		if rec.Fmt < walFmtCompact {
-			return fmt.Errorf("store: record seq %d is a compact record at format %d; compaction requires format %d",
-				rec.Seq, rec.Fmt, uint64(walFmtCompact))
-		}
-		if len(rec.Specs) == 0 {
-			return fmt.Errorf("store: compact record seq %d carries no specs", rec.Seq)
-		}
+	if rec.Kind == recCompact && len(rec.Specs) == 0 {
+		return fmt.Errorf("store: compact record seq %d carries no specs", rec.Seq)
 	}
 	return nil
 }

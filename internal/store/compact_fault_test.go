@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"querypricing/internal/market"
-	"querypricing/internal/relational"
 )
 
 // compactKillPoint scripts one crash inside the compaction protocol.
@@ -329,18 +328,4 @@ func TestCompactENOSPCDegradesUncompacted(t *testing.T) {
 		t.Fatalf("recovered Compactions() = %d, want 1", restored.Compactions())
 	}
 	assertSameBroker(t, "compact-enospc-heal", ref, restored, qs)
-}
-
-// TestCompactRecordRejectsOldFormat: a compact record claiming a
-// pre-compaction WAL format is corruption, not replayable data.
-func TestCompactRecordRejectsOldFormat(t *testing.T) {
-	rec := walRecord{Kind: recCompact, Fmt: walFmtDML, Seq: 1, Version: 1,
-		Specs: []relational.CompactSpec{{Table: "T", Slots: 2, Dead: []int{0}}}}
-	frame, err := encodeWALRecord(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := decodeWAL(frame); err == nil {
-		t.Fatal("decode accepted a compact record with a pre-compact format stamp")
-	}
 }

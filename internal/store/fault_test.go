@@ -8,7 +8,7 @@ package store
 // from the directory must quote byte-identically to an uninterrupted
 // broker holding exactly the durable prefix of the history. The batches
 // driven through every kill point are mixed DML (randomDML guarantees
-// each carries an insert, so every crash lands on a walFmtDML record):
+// each carries an insert, so every crash lands on an insert-bearing record):
 // insert/delete WAL records must replay exactly-once through torn
 // tails and interrupted rotations like cell updates always have.
 

@@ -449,7 +449,7 @@ func (s *Store) pruneLocked() {
 }
 
 // appendLocked durably appends one framed record, assigning it the next
-// sequence number. A failed write is rolled back by truncating the
+// sequence number and stamping it walFmt. A failed write is rolled back by truncating the
 // segment to its pre-append size; if even that fails the segment is
 // marked broken and every further append fails with ErrWALBroken until a
 // snapshot rotates it away.
@@ -460,7 +460,7 @@ func (s *Store) appendLocked(rec walRecord) error {
 	if s.walBroken {
 		return ErrWALBroken
 	}
-	rec.Seq = s.seq + 1
+	rec.Seq, rec.Fmt = s.seq+1, walFmt
 	frame, err := encodeWALRecord(rec)
 	if err != nil {
 		return err
@@ -494,13 +494,11 @@ func (s *Store) appendLocked(rec walRecord) error {
 
 // AppendUpdate durably logs one update batch before it is applied in
 // memory (write-ahead): version is the database version the batch will
-// produce. The record schema is stamped per batch — cell-only batches
-// keep the pre-DML wire form, batches with inserts or deletes are marked
-// walFmtDML. Returns only after the record is fsynced.
+// produce. Returns only after the record is fsynced.
 func (s *Store) AppendUpdate(version uint64, changes []relational.CellChange) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appendLocked(walRecord{Kind: recUpdate, Fmt: updateFmt(changes), Version: version, Changes: changes})
+	return s.appendLocked(walRecord{Kind: recUpdate, Version: version, Changes: changes})
 }
 
 // AppendCompact durably logs one compaction epoch before it is applied
@@ -510,7 +508,7 @@ func (s *Store) AppendUpdate(version uint64, changes []relational.CellChange) er
 func (s *Store) AppendCompact(version uint64, specs []relational.CompactSpec) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appendLocked(walRecord{Kind: recCompact, Fmt: walFmtCompact, Version: version, Specs: specs})
+	return s.appendLocked(walRecord{Kind: recCompact, Version: version, Specs: specs})
 }
 
 // AppendReceipt durably logs one completed sale.

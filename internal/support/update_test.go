@@ -177,3 +177,66 @@ func TestAdvanceBeforeFirstUse(t *testing.T) {
 			conflictSets(t, &support.Set{DB: newDB, Neighbors: base.Neighbors, Shards: k}, qs))
 	}
 }
+
+// TestReferenceModesReadEachAliasRow pins rule 2 of the DisableIncremental
+// reference on an advanced set. Advancing changes only S.V, which alias a
+// never reads, so the rebase shares a's scan and a's base rows keep the
+// predecessor's V. The neighbor lifts row 1's W into b's scan, and only
+// b's own (current) row shows that row 1 passes b.V >= 5: a rule 2 that
+// read a's row for every alias prunes a pair that conflicts.
+func TestReferenceModesReadEachAliasRow(t *testing.T) {
+	ref := func(alias, col string) relational.ColRef { return relational.ColRef{Table: alias, Col: col} }
+	s := relational.NewTable(relational.NewSchema("S",
+		relational.Column{Name: "K", Kind: relational.KindInt},
+		relational.Column{Name: "V", Kind: relational.KindInt},
+		relational.Column{Name: "W", Kind: relational.KindInt},
+		relational.Column{Name: "X", Kind: relational.KindInt},
+	))
+	s.Append(relational.Int(1), relational.Int(10), relational.Int(1), relational.Int(1))
+	s.Append(relational.Int(1), relational.Int(1), relational.Int(2), relational.Int(2))
+	db := relational.NewDatabase()
+	db.AddTable(s)
+	q := &relational.SelectQuery{Name: "self-join", Tables: []string{"S", "S"}, Aliases: []string{"a", "b"},
+		Joins: []relational.JoinCond{{Left: ref("a", "K"), Right: ref("b", "K")}},
+		Where: []relational.Predicate{
+			{Col: ref("a", "X"), Op: relational.OpEq, Val: relational.Int(1)},
+			{Col: ref("b", "V"), Op: relational.OpGe, Val: relational.Int(5)},
+			{Col: ref("b", "W"), Op: relational.OpEq, Val: relational.Int(7)},
+		},
+		Select: []relational.ColRef{ref("b", "W"), ref("b", "X")}}
+	qs := []*relational.SelectQuery{q}
+	set := &support.Set{DB: db, Neighbors: []support.Neighbor{
+		{Deltas: []support.Delta{{Table: "S", Row: 1, Col: 2, New: relational.Int(7)}}},
+	}}
+	if _, _, err := set.PlanFor(q); err != nil {
+		t.Fatal(err)
+	}
+	upd := []support.Delta{{Table: "S", Row: 1, Col: 1, New: relational.Int(10)}}
+	newDB, err := db.Apply(upd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv, _ := set.Advance(newDB, upd)
+	fresh := &support.Set{DB: newDB, Neighbors: set.Neighbors}
+	want, _, err := support.BuildHypergraph(fresh, qs, support.BuildOptions{DisablePruning: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := want.Edge(0).Items; len(got) != 1 || got[0] != 0 {
+		t.Fatalf("fixture: unpruned reference conflict set %v, want [0]", got)
+	}
+	for name, opts := range map[string]support.BuildOptions{
+		"default":            {},
+		"DisableIncremental": {DisableIncremental: true, Workers: 1},
+		"DisablePruning":     {DisablePruning: true, Workers: 1},
+	} {
+		got, st, err := support.BuildHypergraph(adv, qs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameHypergraph(t, name, qs, got, want)
+		if st.PrunedByPred != 0 {
+			t.Fatalf("%s: PrunedByPred = %d on a conflicting pair", name, st.PrunedByPred)
+		}
+	}
+}

@@ -43,8 +43,9 @@ PID=$!
 wait_ready
 
 # A cell update, a DML batch (insert + delete) and a purchase, so the
-# second boot must replay durable WAL records of every kind and format,
-# not just reread the initial snapshot.
+# second boot must replay durable WAL records of every kind (update,
+# receipt, and the compact record below), not just reread the initial
+# snapshot.
 curl -fsS -XPOST -d "$UPDATE" "http://localhost:$PORT/update" >/dev/null
 curl -fsS -XPOST -d "$DML" "http://localhost:$PORT/update" >/dev/null
 curl -fsS -XPOST -d "$QUERY" "http://localhost:$PORT/purchase?budget=1e18" >/dev/null
