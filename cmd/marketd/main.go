@@ -74,14 +74,13 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		algo      = flag.String("algorithm", "LPIP", "pricing algorithm: "+strings.Join(engine.List(), " | "))
-		supportN  = flag.Int("support", 400, "support size")
-		shards    = flag.Int("shards", 0, "support-set shards (0 = GOMAXPROCS, <0 = one shard)")
-		seed      = flag.Int64("seed", 1, "random seed")
-		valK      = flag.Float64("valuation-k", 100, "Uniform[1,k] calibration valuations")
-		pprofOn   = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-		lazyDrain = flag.Bool("background-drain", true, "fold deferred plan rebases in the background after each update")
+		addr     = flag.String("addr", ":8080", "listen address")
+		algo     = flag.String("algorithm", "LPIP", "pricing algorithm: "+strings.Join(engine.List(), " | "))
+		supportN = flag.Int("support", 400, "support size")
+		shards   = flag.Int("shards", 0, "support-set shards (0 = GOMAXPROCS, <0 = one shard)")
+		seed     = flag.Int64("seed", 1, "random seed")
+		valK     = flag.Float64("valuation-k", 100, "Uniform[1,k] calibration valuations")
+		pprofOn  = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 
 		compactThresh = flag.Float64("compact-threshold", 0.3, "auto-compact a table when tombstones/slots reaches this fraction (0 = manual POST /compact only)")
 		compactMin    = flag.Int("compact-min-rows", 4096, "exempt tables with fewer physical slots than this from auto-compaction")
@@ -95,16 +94,15 @@ func main() {
 	flag.Parse()
 
 	srv, err := serve.New(serve.Config{
-		DataDir:         *dataDir,
-		SnapshotEvery:   *snapEvery,
-		Algorithm:       *algo,
-		SupportSize:     *supportN,
-		Shards:          *shards,
-		Seed:            *seed,
-		ValK:            *valK,
-		BackgroundDrain: *lazyDrain,
-		RequestTimeout:  *reqTimeout,
-		MaxInflight:     *maxInfl,
+		DataDir:        *dataDir,
+		SnapshotEvery:  *snapEvery,
+		Algorithm:      *algo,
+		SupportSize:    *supportN,
+		Shards:         *shards,
+		Seed:           *seed,
+		ValK:           *valK,
+		RequestTimeout: *reqTimeout,
+		MaxInflight:    *maxInfl,
 
 		CompactThreshold: *compactThresh,
 		CompactMinRows:   *compactMin,

@@ -266,8 +266,9 @@ func (r *runner) runLiveUpdates() error {
 			stats.PlansDeferred,
 			time.Since(start).Round(time.Microsecond), version)
 	}
-	// Fold everything that is still deferred (what a background drainer —
-	// market.Config.BackgroundDrain — would do while the broker idles).
+	// Fold everything that is still deferred, as the cap drain of an
+	// update that pushes the pending log past plan.MaxPendingBatches
+	// would, so the equivalence checks below read drained plans.
 	start := time.Now()
 	drain := broker.DrainPlans()
 	fmt.Printf("%8s %8s %12v %10s   (%d rebased, %d recompiled)\n",

@@ -219,7 +219,6 @@ func (r *runner) boot(threshold float64) (*loadTarget, error) {
 		Shards:           r.shards,
 		Seed:             r.seed,
 		ValK:             100,
-		BackgroundDrain:  true,
 		RequestTimeout:   10 * time.Second,
 		MaxInflight:      256,
 		CompactThreshold: threshold,

@@ -23,8 +23,9 @@
 // Broker.Update applies a batch of cell changes and atomically publishes a
 // successor data snapshot (new database version, support set advanced
 // lazily — cached plans fold the deferred change batches into one
-// coalesced rebase on their first post-update use, or when the optional
-// background drainer reaches them). Quotes and receipts carry the version
+// coalesced rebase on their first post-update use, or in the eager drain
+// an update runs when it pushes the pending log past
+// plan.MaxPendingBatches). Quotes and receipts carry the version
 // they were priced at; see docs/UPDATES.md for the full life of an update.
 package market
 
@@ -79,13 +80,6 @@ type Config struct {
 	// the shards in turn. 0 picks GOMAXPROCS, negative forces a single
 	// shard. Results are byte-identical at every shard count.
 	Shards int
-	// BackgroundDrain, when set, spawns a background goroutine after each
-	// Update that eagerly folds the deferred plan rebases into the new
-	// snapshot (support.Set.Drain), so an idle broker converges instead of
-	// paying the coalesced rebase on each plan's next quote. At most one
-	// drainer runs at a time; it re-checks for newer snapshots before
-	// exiting.
-	BackgroundDrain bool
 }
 
 // Quote is a priced offer for a query.
@@ -149,10 +143,6 @@ type Broker struct {
 	// calMu serializes calibrations and updates (quotes are not blocked
 	// by it).
 	calMu sync.Mutex
-
-	// draining guards the single background drainer goroutine
-	// (Config.BackgroundDrain).
-	draining atomic.Bool
 
 	// compactions counts compaction epochs over the broker's lifetime
 	// (carried across restarts via the snapshot, like the sales log).
@@ -234,11 +224,13 @@ func (b *Broker) DB() *relational.Database { return b.state.Load().db }
 // onto it lazily (cached plans carried over with their delta maintenance
 // deferred — each is rebased on its first post-update quote, all pending
 // batches coalesced into one pass; support.Set.Advance). Update latency is
-// therefore independent of how many plans are cached; set
-// Config.BackgroundDrain (or call DrainPlans) to fold the deferred rebases
-// eagerly. Concurrent quotes that loaded the previous state finish against
-// it — prices remain internally consistent offers on the snapshot they
-// were computed from, and receipts pin that version.
+// therefore independent of how many plans are cached, except for the
+// update that pushes the pending log past plan.MaxPendingBatches: it folds
+// every stale plan before it returns, so the log stays bounded. Call
+// DrainPlans to fold the deferred rebases eagerly at any other time.
+// Concurrent quotes that loaded the previous state finish against it —
+// prices remain internally consistent offers on the snapshot they were
+// computed from, and receipts pin that version.
 //
 // The calibrated pricing function is retained: its item weights attach to
 // support neighbors, which an update never re-homes, so post-update quotes
@@ -277,26 +269,6 @@ func (b *Broker) UpdateAssigned(changes []relational.CellChange) (uint64, []rela
 	newSet, stats := st.set.Advance(newDB, norm)
 	b.plansDeferred.Add(int64(stats.PlansDeferred))
 	b.state.Store(&marketState{version: newDB.Version(), db: newDB, set: newSet})
-	if b.cfg.BackgroundDrain && b.draining.CompareAndSwap(false, true) {
-		go func() {
-			for {
-				cur := b.state.Load()
-				cur.set.Drain()
-				if b.state.Load() != cur {
-					continue // a newer snapshot appeared mid-drain
-				}
-				b.draining.Store(false)
-				// Close the lost-wakeup window: an Update that landed
-				// between the state check above and the Store saw
-				// draining=true and did not spawn a drainer. If the state
-				// moved, try to become the drainer again; if another
-				// goroutine already did, we're done either way.
-				if b.state.Load() == cur || !b.draining.CompareAndSwap(false, true) {
-					return
-				}
-			}
-		}()
-	}
 	return newDB.Version(), norm, stats, nil
 }
 
@@ -312,8 +284,9 @@ type PlanStats struct {
 }
 
 // PlanStats reports the current snapshot's plan-cache state (see the
-// PlanStats type). Counts are point-in-time: concurrent quotes and the
-// background drainer fold stale plans forward as they run.
+// PlanStats type). Counts are point-in-time: concurrent quotes fold the
+// stale plans they use forward as they run. An idle broker keeps its
+// stale plans until their first quote, the next cap drain or DrainPlans.
 func (b *Broker) PlanStats() PlanStats {
 	out := PlanStats{DeferredTotal: b.plansDeferred.Load()}
 	out.Plans, out.Stale, out.PendingBatches = b.state.Load().set.PlanStats()

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"querypricing/internal/datagen"
+	"querypricing/internal/plan"
 	"querypricing/internal/relational"
 	"querypricing/internal/support"
 	"querypricing/internal/valuation"
@@ -254,9 +255,12 @@ func TestReceiptsPinVersion(t *testing.T) {
 
 // TestConcurrentQuotesDuringUpdate hammers lock-free quoting — single
 // quotes, batches, purchases — while the broker absorbs a stream of
-// updates. Run with -race: the snapshot swap is the only coordination
-// between quoting and updating, and every observed quote version must be
-// one the broker actually published.
+// updates long enough to cross the plan cache's cap drain (one eager fold
+// of every stale plan when the pending log passes plan.MaxPendingBatches).
+// Run with -race: the snapshot swap is the only coordination between
+// quoting and updating, the cap drain shares the plan cache with the
+// concurrent quotes' first-use folds, and every observed quote version
+// must be one the broker actually published.
 func TestConcurrentQuotesDuringUpdate(t *testing.T) {
 	db, qs := updateScenario(t, "skewed")
 	b, err := NewBroker(db, Config{SupportSize: 60, Seed: 2, Shards: 4, LPIPCandidates: 4})
@@ -266,7 +270,7 @@ func TestConcurrentQuotesDuringUpdate(t *testing.T) {
 	if _, err := b.Calibrate(qs, valuation.Uniform{K: 100}, UIP); err != nil {
 		t.Fatal(err)
 	}
-	const updates = 6
+	const updates = plan.MaxPendingBatches + 2
 	stop := make(chan struct{})
 	errs := make(chan error, 64)
 	var wg sync.WaitGroup
@@ -325,10 +329,78 @@ func TestConcurrentQuotesDuringUpdate(t *testing.T) {
 	if got := b.Version(); got != updates {
 		t.Fatalf("final version = %d, want %d", got, updates)
 	}
+	// Without the cap drain's trim the log would hold every batch.
+	if ps := b.PlanStats(); ps.PendingBatches > plan.MaxPendingBatches {
+		t.Fatalf("%d pending batches after %d updates: the cap drain never ran", ps.PendingBatches, updates)
+	}
 }
 
 type unexpectedVersionError struct{ v uint64 }
 
 func (e *unexpectedVersionError) Error() string {
 	return "quote carries a version the broker never published"
+}
+
+// TestPendingBatchesBoundedAcrossShards streams 3 × plan.MaxPendingBatches
+// random single-cell updates through a 7-shard broker with cached plans
+// and no quote in between, so every fold before the final quotes is a cap
+// drain. The reported pending log never exceeds the cap
+// plan.MaxPendingBatches documents, at any shard count, because the
+// support set keeps one plan cache and so one log. Afterwards every
+// calibration query must quote byte-identically to a broker restored
+// fresh on the final database.
+func TestPendingBatchesBoundedAcrossShards(t *testing.T) {
+	db, qs := updateScenario(t, "skewed")
+	cfg := Config{SupportSize: 100, Seed: 5, Shards: 7, LPIPCandidates: 4}
+	b, err := NewBroker(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Calibrate(qs, valuation.Uniform{K: 100}, UIP); err != nil {
+		t.Fatal(err)
+	}
+	if ps := b.PlanStats(); ps.Plans == 0 {
+		t.Fatal("calibration cached no plans")
+	}
+	rng := rand.New(rand.NewSource(1))
+	capDrains := 0
+	for i := 0; i < 3*plan.MaxPendingBatches; i++ {
+		_, st, err := b.Update(brokerRandomUpdate(rng, b.DB(), 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.PlansRebased+st.PlansInvalidated > 0 {
+			capDrains++
+		}
+		if ps := b.PlanStats(); ps.PendingBatches > plan.MaxPendingBatches {
+			t.Fatalf("update %d: %d pending batches, cap %d", i+1, ps.PendingBatches, plan.MaxPendingBatches)
+		}
+	}
+	if capDrains < 2 {
+		t.Fatalf("%d cap drains over %d updates, want at least 2", capDrains, 3*plan.MaxPendingBatches)
+	}
+	fresh, err := Restore(b.Snapshot(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	informative := 0
+	for _, q := range qs {
+		got, err := b.Quote(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Quote(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s: cap-drained broker quote %+v != fresh broker %+v", q.Name, got, want)
+		}
+		if got.Informative {
+			informative++
+		}
+	}
+	if informative == 0 {
+		t.Fatal("no informative quote: the comparison checks nothing")
+	}
 }

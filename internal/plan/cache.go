@@ -757,7 +757,7 @@ func (c *Cache) Advance(newDB *relational.Database, changes []relational.CellCha
 		// Amortized bound: one eager coalesced drain per cap-full of
 		// batches, then the log is trimmed to what the slots still need.
 		// The drain's work is surfaced in the stats.
-		st.Rebased, st.Recompiled = nc.Drain(0)
+		st.Rebased, st.Recompiled = nc.Drain()
 		s.mu.Lock()
 		minV := s.latestVer
 		for i := s.lru.head; i >= 0; i = s.lru.nodes[i].next {
@@ -781,18 +781,18 @@ func (c *Cache) Advance(newDB *relational.Database, changes []relational.CellCha
 	return nc, st
 }
 
-// Drain eagerly folds deferred updates into cached plans: up to limit
-// stale entries (all of them when limit <= 0) are rebased onto the cache's
-// snapshot — or recompiled when the composite change escapes delta
-// maintenance — exactly as their first use would. It returns how many
-// plans were rebased and how many had to be recompiled. Safe to run
-// concurrently with Gets: slot publishes are monotone, so a concurrent
-// upgrade of the same slot is harmless (whichever newer plan lands first
-// wins and the other is discarded). Unlike a Get, a drain does not touch
-// LRU recency — background maintenance should not look like use. A
-// background drainer makes an idle cache converge so later quotes find
-// warm, up-to-date plans.
-func (c *Cache) Drain(limit int) (rebased, recompiled int) {
+// Drain eagerly folds deferred updates into cached plans: every stale
+// entry is rebased onto the cache's snapshot — or recompiled when the
+// composite change escapes delta maintenance — exactly as its first use
+// would. It returns how many plans were rebased and how many had to be
+// recompiled. Safe to run concurrently with Gets: slot publishes are
+// monotone, so a concurrent upgrade of the same slot is harmless
+// (whichever newer plan lands first wins and the other is discarded).
+// Unlike a Get, a drain does not touch LRU recency — maintenance should
+// not look like use. Advance runs it at the MaxPendingBatches cap so the
+// pending log can be trimmed; otherwise plans fold on first use, and
+// support.Set.Drain runs it on demand.
+func (c *Cache) Drain() (rebased, recompiled int) {
 	s := c.store
 	db, cur := c.db, c.version
 	s.mu.Lock()
@@ -805,9 +805,6 @@ func (c *Cache) Drain(limit int) (rebased, recompiled int) {
 	}
 	s.mu.Unlock()
 	for _, key := range stales {
-		if limit > 0 && rebased+recompiled >= limit {
-			break
-		}
 		s.mu.Lock()
 		i, ok := s.entries[key]
 		if !ok {

@@ -54,7 +54,7 @@ func TestOldGenerationByteIdenticalAfterSharedSlotMutation(t *testing.T) {
 				t.Fatalf("round %d %s: %v", round, q.Name, err)
 			}
 		}
-		cache.Drain(0)
+		cache.Drain()
 
 		// The original generation must be unaffected: same fingerprints as
 		// before any update, versions pinned at the original snapshot, and
@@ -157,7 +157,7 @@ func TestConcurrentCrossGenerationTraffic(t *testing.T) {
 				return
 			default:
 			}
-			latest().cache.Drain(0)
+			latest().cache.Drain()
 		}
 	}()
 
@@ -253,7 +253,7 @@ func TestBranchingAdvance(t *testing.T) {
 	gens := []generation{{"gen0", db0, gen0}, {"A", dbA, genA}, {"B", dbB, genB}, {"A2", dbA2, genA2}, {"B2", dbB2, genB2}}
 	for round, order := range [][]int{{2, 1, 4, 0, 3}, {3, 0, 4, 1, 2}, {1, 4, 2, 3, 0}} {
 		for i, gi := range order {
-			gens[gi].c.Drain(0)
+			gens[gi].c.Drain()
 			g := gens[order[(i+1)%len(order)]]
 			for _, q := range queries {
 				p, _, err := g.c.Get(q)

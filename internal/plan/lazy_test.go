@@ -118,7 +118,7 @@ func TestCacheDrainCountsAndConverges(t *testing.T) {
 	}
 	newDB := applyUpdate(t, db, changes)
 	cache, ast := cache.Advance(newDB, changes)
-	rebased, recompiled := cache.Drain(0)
+	rebased, recompiled := cache.Drain()
 	if rebased+recompiled != ast.Deferred {
 		t.Fatalf("Drain folded %d+%d plans, want %d", rebased, recompiled, ast.Deferred)
 	}

@@ -59,11 +59,15 @@ type Config struct {
 	// uses the real one.
 	FS store.FS
 
-	Algorithm       string
-	SupportSize     int
-	Shards          int
-	Seed            int64
-	ValK            float64
+	Algorithm   string
+	SupportSize int
+	Shards      int
+	Seed        int64
+	ValK        float64
+	// Deprecated: BackgroundDrain is ignored. Deferred plan rebases fold
+	// on first use, or in the cap drain of an update that pushes the
+	// pending log past plan.MaxPendingBatches; nothing folds them in
+	// the background.
 	BackgroundDrain bool
 
 	// RequestTimeout bounds each request's handler context; 0 means no
@@ -147,11 +151,10 @@ func New(cfg Config) (*Server, error) {
 
 	if loaded != nil {
 		b, err := market.Restore(*loaded, market.Config{
-			Shards:          cfg.Shards,
-			Seed:            cfg.Seed,
-			LPIPCandidates:  16,
-			CIPEpsilon:      0.5,
-			BackgroundDrain: cfg.BackgroundDrain,
+			Shards:         cfg.Shards,
+			Seed:           cfg.Seed,
+			LPIPCandidates: 16,
+			CIPEpsilon:     0.5,
 		})
 		if err != nil {
 			st.Close()
@@ -192,12 +195,11 @@ func bootstrapBroker(cfg Config) (*market.Broker, error) {
 	log.Printf("marketd: generating world dataset...")
 	db := datagen.World(datagen.WorldConfig{Countries: 239, Cities: 800, Seed: cfg.Seed})
 	broker, err := market.NewBroker(db, market.Config{
-		SupportSize:     cfg.SupportSize,
-		Shards:          cfg.Shards,
-		Seed:            cfg.Seed,
-		LPIPCandidates:  16,
-		CIPEpsilon:      0.5,
-		BackgroundDrain: cfg.BackgroundDrain,
+		SupportSize:    cfg.SupportSize,
+		Shards:         cfg.Shards,
+		Seed:           cfg.Seed,
+		LPIPCandidates: 16,
+		CIPEpsilon:     0.5,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("marketd: %w", err)

@@ -7,7 +7,8 @@ package support_test
 // the three ways a plan can cross a chain of update batches
 //
 //   - lazily: quoted after every batch (each quote folds what is pending),
-//   - eagerly: Set.Drain after every batch (the background-drainer path),
+//   - eagerly: Set.Drain after every batch (the fold the cap drain and
+//     Broker.DrainPlans run),
 //   - asleep: never touched until after the final batch (one coalesced
 //     fold across every version at once),
 //

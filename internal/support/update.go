@@ -13,13 +13,16 @@ package support
 //     neighbors' deltas (their (table, row, col) footprints and new
 //     values), which an update never moves, so no neighbor is ever re-homed by a base-data change —
 //     a deliberate property of footprint-based sharding;
-//   - the set's plan cache advances lazily, and with it the bare-scan
-//     index pool it owns (plan.Cache.Advance): the change batch is
-//     appended to a pending log, and a plan or index is folded up to the
-//     new snapshot — all deferred batches coalesced into one rebase or
-//     patch pass — on its first post-update use. Advance cost is
-//     therefore independent of how many plans are cached. Drain forces the
-//     fold-up eagerly (e.g. from a background goroutine on an idle broker).
+//   - the set's plan cache advances lazily (plan.Cache.Advance): the
+//     change batch is appended to a pending log, and a plan is folded up
+//     to the new snapshot — all deferred batches coalesced into one
+//     rebase — on its first post-update use, or in the eager drain the
+//     cache runs when the log passes plan.MaxPendingBatches. The
+//     bare-scan index pool the cache owns carries only the indexes the
+//     batch leaves exact and rebuilds every other one from its snapshot
+//     (hashRows) on first use; it never patches. Advance cost is
+//     therefore independent of how many plans are cached. Drain forces
+//     the fold-up eagerly on demand.
 //
 // A neighbor whose delta an update makes vacuous (the new base value now
 // equals the neighbor's) simply stops conflicting — exactly what a fresh
@@ -74,10 +77,12 @@ func (s *Set) Advance(newDB *relational.Database, changes []Delta) (*Set, Update
 // plans, exactly as each plan's first post-update use would: pending
 // batches are coalesced into one rebase pass per plan, and plans the
 // composite change escapes are recompiled. Safe to run concurrently with
-// quotes (shared upgrades deduplicate); an optional background drainer
-// calls this so idle brokers converge instead of deferring forever.
+// quotes (shared upgrades deduplicate). Nothing in serving calls it: an
+// idle set keeps its stale plans until their first use or the next cap
+// drain. Experiments and benchmarks call it to fold everything at a
+// chosen point.
 func (s *Set) Drain() UpdateStats {
-	rebased, recompiled := s.cache().Drain(0)
+	rebased, recompiled := s.cache().Drain()
 	return UpdateStats{PlansRebased: rebased, PlansInvalidated: recompiled}
 }
 

@@ -4,8 +4,9 @@
 # second instance on the same directory, and assert it reports
 # restored=true and returns the byte-identical quote. This is the
 # docs/OPERATIONS.md contract exercised against the real binary, real
-# files and real signals (the in-process version lives in
-# cmd/marketd/main_test.go and internal/store/fault_test.go).
+# files and real signals (the in-process versions are
+# TestRestartServesIdenticalQuotes in internal/serve/serve_test.go and
+# the kill-point matrix in internal/store/fault_test.go).
 #
 # Usage: scripts/restartsmoke.sh [port]
 set -euo pipefail
